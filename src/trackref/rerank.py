@@ -11,6 +11,13 @@ a spatio-temporal tube instead of one-frame wonders.
 
 Same-frame proposals never contribute to the sum: their temporal distance is
 zero, so they are excluded rather than dividing by it.
+
+The sum is evaluated one offset k at a time between the sorted non-empty
+frames: one batched IoU block pairs every frame with the frame k positions
+later, and because IoU is symmetric each block adds support in both
+directions.  The cost is one block per offset; ``window`` stops the offsets
+once every pair lies beyond it.  Weights use the true frame distances, so
+sparse or huge frame ids cost nothing extra.
 """
 
 from __future__ import annotations
@@ -104,34 +111,55 @@ class Track:
         return self.entries.get(frame)
 
 
-def _frame_arrays(props: list[Proposal]):
-    corners = np.array(
-        [(p.box.x, p.box.y, p.box.x + p.box.w, p.box.y + p.box.h) for p in props],
-        dtype=float,
-    )
-    scores = np.array([p.score for p in props], dtype=float)
-    objectness = np.array([p.objectness for p in props], dtype=float)
-    # Canonical proposal-id order for the source side of the sum, so that new
-    # scores are bit-identical regardless of input proposal order.
-    id_order = np.argsort([p.proposal_id for p in props], kind="stable")
-    return corners, scores, objectness, id_order
-
-
 def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of two (N, 4) / (M, 4) corner arrays (x0, y0, x1, y1)."""
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return inter / (area_a[:, None] + area_b[None, :] - inter)
+    """Pairwise IoU of (..., N, 4) / (..., M, 4) corner arrays (x0, y0, x1, y1).
 
-
-def _top_source_indices(scores, objectness, top_k):
-    order = sorted(
-        range(len(scores)), key=lambda i: (-scores[i], -objectness[i], i)
+    Leading axes broadcast, so a stack of frame pairs gives a (..., N, M) block.
+    """
+    ix = np.minimum(a[..., :, None, 2], b[..., None, :, 2]) - np.maximum(
+        a[..., :, None, 0], b[..., None, :, 0]
     )
-    return np.array(order[:top_k], dtype=int)
+    iy = np.minimum(a[..., :, None, 3], b[..., None, :, 3]) - np.maximum(
+        a[..., :, None, 1], b[..., None, :, 1]
+    )
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return inter / (area_a[..., :, None] + area_b[..., None, :] - inter)
+
+
+# IoU entries per block: bounds the kernel's scratch memory (a handful of
+# float64 arrays of this size) whatever the number of frames or proposals.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _pack(vp: VideoProposals, top_k: int | None):
+    """Columnar copy of the non-empty frames, in frame and proposal-id order.
+
+    Returns the sorted frame ids (an object array of Python ints, so that
+    distances between huge ids stay exact), the per-frame proposals in id
+    order, ``(P, N, 4)`` corners, ``(P, N)`` raw scores and ``(P, N)`` source
+    weights (objectness x score).  Padding rows hold a unit box and weight 0;
+    with ``top_k`` the weights of all but the K best proposals of a frame (by
+    score, then objectness, then lower id) are 0 as well.
+    """
+    frame_ids = sorted(f for f, props in vp.frames.items() if props)
+    rows = [sorted(vp.frames[f], key=lambda p: p.proposal_id) for f in frame_ids]
+    width = max(map(len, rows), default=0)
+    corners = np.tile([0.0, 0.0, 1.0, 1.0], (len(rows), width, 1))
+    scores = np.zeros((len(rows), width))
+    weights = np.zeros((len(rows), width))
+    for i, props in enumerate(rows):
+        n = len(props)
+        corners[i, :n] = [
+            (p.box.x, p.box.y, p.box.x + p.box.w, p.box.y + p.box.h) for p in props
+        ]
+        scores[i, :n] = [p.score for p in props]
+        weights[i, :n] = [p.objectness * p.score for p in props]
+        if top_k is not None and n > top_k:
+            ranked = sorted(range(n), key=lambda j: (-props[j].score, -props[j].objectness, j))
+            weights[i, ranked[top_k:]] = 0.0
+    return np.array(frame_ids, dtype=object), rows, corners, scores, weights
 
 
 def rerank_scores(
@@ -154,33 +182,32 @@ def rerank_scores(
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
 
-    frame_ids = sorted(f for f, props in vp.frames.items() if props)
-    data = {}
-    for f in frame_ids:
-        corners, scores, objectness, id_order = _frame_arrays(vp.frames[f])
-        src = id_order
-        if top_k is not None and len(scores) > top_k:
-            src = id_order[_top_source_indices(scores[id_order], objectness[id_order], top_k)]
-        data[f] = (corners, scores, objectness, src)
+    frames, rows, corners, scores, weights = _pack(vp, top_k)
+    limit = np.inf if window is None else window
+    count, width = scores.shape
+    block_rows = max(1, _BLOCK_ENTRIES // max(1, width * width))
+    support = np.zeros_like(scores)
+    # Offset k pairs frame row i with row i + k.  IoU is symmetric, so each
+    # block feeds both directions.  Distances only grow with k, so the loop
+    # ends at the first offset whose pairs all lie beyond the window.
+    for k in range(1, count):
+        gaps = frames[k:] - frames[:-k]
+        near = np.flatnonzero(gaps <= limit)
+        if near.size == 0:
+            break
+        for start in range(0, near.size, block_rows):
+            i = near[start:start + block_rows]
+            j = i + k
+            distance = gaps[i].astype(float)[:, None]
+            overlaps = _iou_matrix(corners[i], corners[j])
+            support[i] += np.einsum("rpq,rq->rp", overlaps, weights[j] / distance)
+            support[j] += np.einsum("rpq,rp->rq", overlaps, weights[i] / distance)
+    new_scores = scores * support
 
     result: dict[int, list[ScoredProposal]] = {}
-    for f in frame_ids:
-        corners, scores, _, _ = data[f]
-        support = np.zeros(len(scores))
-        for g in frame_ids:
-            if g == f:
-                continue
-            distance = abs(f - g)
-            if window is not None and distance > window:
-                continue
-            g_corners, g_scores, g_objectness, g_src = data[g]
-            overlaps = _iou_matrix(corners, g_corners[g_src])
-            weights = g_objectness[g_src] * g_scores[g_src] / distance
-            support += overlaps @ weights
-        new_scores = scores * support
-        result[f] = [
-            ScoredProposal(p, float(s)) for p, s in zip(vp.frames[f], new_scores)
-        ]
+    for f, props, values in zip(frames.tolist(), rows, new_scores):
+        by_id = {p.proposal_id: float(s) for p, s in zip(props, values)}
+        result[f] = [ScoredProposal(p, by_id[p.proposal_id]) for p in vp.frames[f]]
     return result
 
 

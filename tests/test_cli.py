@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import trackref
 
 from trackref.cli import main
 from trackref.geometry import Box, rasterize_box, write_mask
@@ -455,3 +461,39 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("flag", ["--window", "--top-k"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_rerank_rejects_non_positive_window_and_top_k(
+        self, tmp_path, toy_proposals_file, capsys, flag, value
+    ):
+        out = tmp_path / "out"
+        assert main([
+            "rerank", "--proposals", str(toy_proposals_file), "--out", str(out), flag, value,
+        ]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--window", "--top-k"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_oracle_rejects_non_positive_window_and_top_k(self, tmp_path, capsys, flag, value):
+        gt = tmp_path / "gt.jsonl"
+        write_tracks(gt, {("v", "1"): Track("v", "1", {1: Box(0, 0, 4, 4), 2: Box(1, 0, 4, 4)})})
+        out = tmp_path / "out"
+        assert main([
+            "oracle", "--oracle", "boxes", "--gt-boxes", str(gt), "--out", str(out), flag, value,
+        ]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("module", ["trackref", "trackref.cli"])
+    def test_runs_as_module(self, module):
+        src = str(Path(trackref.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        done = subprocess.run(
+            [sys.executable, "-m", module, "rerank"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "usage error" in done.stderr

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackref.geometry import Box, box_iou
 from trackref.rerank import (
@@ -21,8 +23,12 @@ from trackref.rerank import (
 from trackref.rng import SplitRng
 
 
-def brute_force_scores(vp, window=None):
-    """Independent triple-loop oracle: proposals x other frames x proposals."""
+def brute_force_scores(vp, window=None, top_k=None):
+    """Independent triple-loop oracle: proposals x other frames x proposals.
+
+    With ``top_k``, only the K best proposals of each other frame (higher
+    score, then higher objectness, then lower id) act as sources.
+    """
     out = {}
     for frame, proposals in vp.frames.items():
         for p in proposals:
@@ -33,6 +39,10 @@ def brute_force_scores(vp, window=None):
                 distance = abs(frame - other_frame)
                 if window is not None and distance > window:
                     continue
+                if top_k is not None:
+                    others = sorted(
+                        others, key=lambda q: (-q.score, -q.objectness, q.proposal_id)
+                    )[:top_k]
                 for q in others:
                     terms.append(
                         box_iou(p.box, q.box) * q.objectness * q.score / distance
@@ -47,6 +57,44 @@ def toy_video():
     p3 = Proposal(2, Box(0, 0, 10, 10), 0.4, 0.8, 0)
     p4 = Proposal(2, Box(20, 0, 10, 10), 0.8, 0.9, 1)
     return VideoProposals.from_proposals("vid", "q", [p1, p2, p3, p4])
+
+
+def assert_matches_oracle(vp, window=None, top_k=None):
+    scored = rerank_scores(vp, window=window, top_k=top_k)
+    oracle = brute_force_scores(vp, window=window, top_k=top_k)
+    values = {
+        (f, sp.proposal.proposal_id): sp.new_score
+        for f, sps in scored.items() for sp in sps
+    }
+    assert values.keys() == oracle.keys()
+    for key, target in oracle.items():
+        assert abs(values[key] - target) <= 1e-12, key
+    return values
+
+
+_coordinate = st.floats(0, 60, allow_nan=False, allow_infinity=False)
+_side = st.floats(0.5, 40, allow_nan=False, allow_infinity=False)
+_unit = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1))
+
+
+@st.composite
+def sparse_videos(draw):
+    """Videos with empty frames, uneven proposal counts and sparse frame ids."""
+    frame_ids = draw(st.sets(
+        st.one_of(st.integers(1, 30), st.integers(1, 10**9)), min_size=1, max_size=7,
+    ))
+    frames = {}
+    for frame in frame_ids:
+        ids = draw(st.lists(st.integers(0, 40), unique=True, max_size=6))
+        frames[frame] = [
+            Proposal(
+                frame,
+                Box(draw(_coordinate), draw(_coordinate), draw(_side), draw(_side)),
+                draw(_unit), draw(_unit), pid,
+            )
+            for pid in ids
+        ]
+    return VideoProposals("v", "q", frames, max(frame_ids))
 
 
 def random_instance(rng, max_frames=10, max_per_frame=8):
@@ -172,6 +220,39 @@ class TestRerankScores:
             assert [sp.new_score for sp in full[frame]] == [
                 sp.new_score for sp in capped[frame]
             ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        vp=sparse_videos(),
+        window=st.one_of(st.none(), st.integers(1, 40), st.just(10**9)),
+        top_k=st.one_of(st.none(), st.integers(1, 6)),
+    )
+    def test_matches_brute_force_oracle_fuzzed(self, vp, window, top_k):
+        assert_matches_oracle(vp, window=window, top_k=top_k)
+
+    @pytest.mark.parametrize("frame_ids", [(1, 10**9), (1, 2, 10**9)])
+    @pytest.mark.parametrize("window", [None, 1, 10**9 - 1])
+    def test_huge_sparse_frame_ids(self, frame_ids, window):
+        proposals = [
+            Proposal(frame, Box(offset, 0, 10, 10), 0.9 - 0.1 * offset, 0.8, offset)
+            for frame in frame_ids for offset in (0, 1)
+        ]
+        vp = VideoProposals.from_proposals("v", "q", proposals)
+        values = assert_matches_oracle(vp, window=window)
+        assert (values[(10**9, 0)] > 0) == (window != 1)
+        assert (values[(1, 0)] > 0) == (window != 1 or 2 in frame_ids)
+
+    def test_top_k_ties_keep_the_lower_id(self):
+        # Equal score and objectness: the source kept by top_k=1 is id 0,
+        # the only one overlapping the frame-2 proposal.
+        vp = VideoProposals.from_proposals("v", "q", [
+            Proposal(1, Box(40, 0, 10, 10), 0.5, 0.5, 2),
+            Proposal(1, Box(0, 0, 10, 10), 0.5, 0.5, 0),
+            Proposal(1, Box(20, 0, 10, 10), 0.5, 0.5, 1),
+            Proposal(2, Box(0, 0, 10, 10), 0.5, 0.5, 0),
+        ])
+        values = assert_matches_oracle(vp, top_k=1)
+        assert values[(2, 0)] == pytest.approx(0.125, rel=1e-12)
 
     def test_rejects_bad_parameters(self):
         vp = toy_video()
