@@ -8,6 +8,7 @@ from .geometry import (
     box_from_mask,
     box_iou,
     boundary_pixels,
+    mask_bbox,
     mask_iou,
     pbm_dumps,
     pbm_loads,

@@ -3,10 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 data error.  Commands validate all
 inputs before writing anything, warnings go to stderr, and every random draw
 flows from the --seed flag through counter-based streams, so outputs are
-byte-identical for a given seed at any --jobs level.  Only mask evaluation
-uses --jobs threads, because its filters run in native code that releases
-the interpreter lock; rerank, simulate, oracle and box evaluation measured no
-faster on threads, so they run serially and accept the flag unchanged.
+byte-identical for a given seed.  Every command runs serially; --jobs is
+still accepted for compatibility and has no effect, because no stage
+measured faster on threads.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from statistics import fmean
 
@@ -37,14 +35,6 @@ def _warn(message: str) -> None:
 
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _parallel_map(fn, items, jobs: int):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _ensure_dir(path: Path) -> None:
@@ -143,7 +133,8 @@ def _eval_masks(args):
             "missing predicted masks for: " + ", ".join(f"{v}/{q}" for v, q in missing)
         )
 
-    def work(key):
+    reports = {}
+    for key in sorted(gt):
         gt_frames = gt[key]
         pred_frames = pred[key]
         absent = sorted(set(gt_frames) - set(pred_frames))
@@ -154,9 +145,8 @@ def _eval_masks(args):
         report = metrics.evaluate_masks(
             {f: pred_frames[f] for f in gt_frames}, gt_frames, tolerance=args.f_tol
         )
-        return key, {name: round4(getattr(report, name)) for name in _MASK_METRICS}
-
-    return dict(_parallel_map(work, sorted(gt), args.jobs))
+        reports[key] = {name: round4(getattr(report, name)) for name in _MASK_METRICS}
+    return reports
 
 
 def _breakdown_section(pairs, document, label, per_query, attrs):
@@ -426,7 +416,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_jobs(parser):
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="threads for mask evaluation (default 1); other work runs serially",
+        help="accepted for compatibility; has no effect (all work runs serially)",
     )
 
 

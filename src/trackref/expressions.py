@@ -234,17 +234,24 @@ def read_attributes(path) -> dict[tuple[str, str], QueryAttributes]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{number}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{number}: expected a JSON object")
             missing = sorted(required - obj.keys())
             if missing:
                 raise ValueError(f"{path}:{number}: missing fields {', '.join(missing)}")
+            for flag in ("is_coco", "has_spatial", "has_verb"):
+                if not isinstance(obj[flag], bool):
+                    raise ValueError(
+                        f"{path}:{number}: {flag} must be true or false, got {obj[flag]!r}"
+                    )
             key = (str(obj["video"]), str(obj["object"]))
             if key in out:
                 continue
             try:
                 out[key] = QueryAttributes(
-                    is_coco=bool(obj["is_coco"]),
-                    has_spatial=bool(obj["has_spatial"]),
-                    has_verb=bool(obj["has_verb"]),
+                    is_coco=obj["is_coco"],
+                    has_spatial=obj["has_spatial"],
+                    has_verb=obj["has_verb"],
                     length_bin=str(obj["length_bin"]),
                     num_objects_bin=str(obj["num_objects_bin"]),
                     annotation_type=str(obj["annotation_type"]),

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,21 +160,38 @@ def mask_iou(a: Mask, b: Mask) -> float:
     """
     if a.shape != b.shape:
         raise ValueError(f"mask dimensions differ: {a.shape} vs {b.shape}")
-    union = int(np.logical_or(a, b).sum())
-    if union == 0:
+    window = mask_bbox(a | b)
+    if window is None:
         return 1.0
+    a, b = a[window], b[window]  # no set pixel lies outside the union's bbox
+    union = int(np.logical_or(a, b).sum())
     inter = int(np.logical_and(a, b).sum())
     return inter / union
 
 
+def mask_bbox(mask: Mask) -> tuple[slice, slice] | None:
+    """Row and column slices of the tightest box holding every set pixel.
+
+    ``mask[mask_bbox(mask)]`` is the tight crop; None when the mask is empty.
+    """
+    rows = mask.any(axis=1)
+    if not rows.any():
+        return None
+    cols = mask.any(axis=0)
+    return (
+        slice(int(rows.argmax()), rows.size - int(rows[::-1].argmax())),
+        slice(int(cols.argmax()), cols.size - int(cols[::-1].argmax())),
+    )
+
+
 def box_from_mask(mask: Mask) -> Box | None:
     """Tight box over the set pixels of ``mask``; None when empty."""
-    rows, cols = np.nonzero(mask)
-    if rows.size == 0:
+    extent = mask_bbox(mask)
+    if extent is None:
         return None
-    r0, r1 = int(rows.min()), int(rows.max())
-    c0, c1 = int(cols.min()), int(cols.max())
-    return Box(float(c0), float(r0), float(c1 - c0 + 1), float(r1 - r0 + 1))
+    rows, cols = extent
+    return Box(float(cols.start), float(rows.start),
+               float(cols.stop - cols.start), float(rows.stop - rows.start))
 
 
 def rasterize_box(box: Box, width: int, height: int) -> Mask:
@@ -190,23 +208,100 @@ def _round_half_up(values: np.ndarray) -> np.ndarray:
     return np.floor(values + 0.5).astype(np.int64)
 
 
+def _warp_window(
+    inv: AffineTransform, source: tuple[slice, slice], height: int, width: int
+) -> tuple[int, int, int, int]:
+    """Output rows/columns ``(row0, row1, col0, col1)`` that ``warp_mask`` can set.
+
+    ``inv`` maps output pixel centers to source locations and ``source``,
+    from ``mask_bbox``, spans the set source pixels: rows ``[row0, row1)``,
+    columns ``[col0, col1)``.  With the coefficients of ``inv`` read as exact
+    rationals, write ``x(p) = a*col + b*row + tx`` for the exact source
+    column of output pixel ``p`` (rows alike).  ``warp_mask`` evaluates
+    ``floor(fl(fl(fl(fl(a*col) + fl(b*row)) + tx) + 0.5))`` on exact integer
+    ``col``/``row``.  Each of the five roundings has relative error at most
+    u = 2**-53, so with ``S = |a|*(width - 1) + |b|*(height - 1) + |tx|``
+    bounding the terms over the frame, the value passed to ``floor`` is off
+    from ``x + 1/2`` by at most ``gamma3*S + u*((1 + gamma3)*S + 1/2) <
+    4.0001*u*S + u < (S + 1) / 2**50`` (subnormal results add less than u,
+    and ``S < 2**1000`` rules out overflow).  A pixel is set only if it
+    rounds into ``[col0, col1)``, so ``x(p)`` lies in ``[col0 - 1/2 - E,
+    col1 - 1/2 + E]`` with ``E = (S + 1) / 2**50``, and likewise for rows.
+    Such ``p`` lie in the preimage of that rectangle under the exact affine
+    map, a parallelogram whose corners are computed exactly in integers
+    (every float is an integer over a power of two); its integer hull,
+    clipped to the frame, is the window.  So every pixel outside the window
+    is unset for any transform, however ill-conditioned: the float error is
+    bounded in source units and mapped back exactly.  Non-finite or
+    overflowing coefficients, or an exactly singular map, fall back to the
+    full frame.
+    """
+    full = (0, height, 0, width)
+    coefficients = (inv.a, inv.b, inv.tx, inv.c, inv.d, inv.ty)
+    if not all(math.isfinite(v) for v in coefficients):
+        return full
+    # Coefficients times a common power-of-two scale, as exact integers.
+    ratios = [v.as_integer_ratio() for v in coefficients]
+    scale = max(den for _, den in ratios)
+    a, b, tx, c, d, ty = (num * (scale // den) for num, den in ratios)
+    det = a * d - b * c
+    reach_x = abs(a) * (width - 1) + abs(b) * (height - 1) + abs(tx)
+    reach_y = abs(c) * (width - 1) + abs(d) * (height - 1) + abs(ty)
+    if det == 0 or max(reach_x, reach_y) >= scale << 1000:  # no float overflow
+        return full
+    # Rectangle corners relative to the translation, times 2**51 * scale:
+    # (edge - 1/2 -+ E) * 2**51 * scale - t * 2**51 with E * 2**51 * scale =
+    # 2 * (reach + scale).
+    src_rows, src_cols = source
+    row0, row1, col0, col1 = src_rows.start, src_rows.stop, src_cols.start, src_cols.stop
+    xs = (
+        ((2 * col0 - 1) * scale << 50) - 2 * (reach_x + scale) - (tx << 51),
+        ((2 * col1 - 1) * scale << 50) + 2 * (reach_x + scale) - (tx << 51),
+    )
+    ys = (
+        ((2 * row0 - 1) * scale << 50) - 2 * (reach_y + scale) - (ty << 51),
+        ((2 * row1 - 1) * scale << 50) + 2 * (reach_y + scale) - (ty << 51),
+    )
+    # p = M^-1 (q - t) with M^-1 = [[d, -b], [-c, a]] / det
+    den = det << 51
+    sign = 1 if den > 0 else -1
+    cols = [sign * (d * x - b * y) for x in xs for y in ys]
+    rows = [sign * (a * y - c * x) for x in xs for y in ys]
+    den *= sign
+    return (
+        max(0, min(rows) // den), min(height, max(rows) // den + 1),
+        max(0, min(cols) // den), min(width, max(cols) // den + 1),
+    )
+
+
 def warp_mask(mask: Mask, transform: AffineTransform) -> Mask:
     """Warp a mask by an affine transform using inverse nearest-neighbor mapping.
 
     Output pixel (row, col) is set iff the inverse-mapped source location
     rounds (half-up) to a set source pixel inside bounds.  Output dimensions
     equal input dimensions; content mapped outside the grid is clipped.
+    Only the output window that the source bbox can reach is evaluated (see
+    ``_warp_window``), with the same per-pixel arithmetic as the full frame,
+    so the cost scales with the object rather than the frame.
     """
     height, width = mask.shape
     inv = transform.inverse()
-    cols, rows = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
+    out = np.zeros_like(mask)
+    source = mask_bbox(mask)
+    if source is None:
+        return out
+    row0, row1, col0, col1 = _warp_window(inv, source, height, width)
+    if row0 >= row1 or col0 >= col1:
+        return out
+    cols, rows = np.meshgrid(
+        np.arange(col0, col1, dtype=float), np.arange(row0, row1, dtype=float)
+    )
     src_x = inv.a * cols + inv.b * rows + inv.tx
     src_y = inv.c * cols + inv.d * rows + inv.ty
     src_c = _round_half_up(src_x)
     src_r = _round_half_up(src_y)
     inside = (src_r >= 0) & (src_r < height) & (src_c >= 0) & (src_c < width)
-    out = np.zeros_like(mask)
-    out[inside] = mask[src_r[inside], src_c[inside]]
+    out[row0:row1, col0:col1][inside] = mask[src_r[inside], src_c[inside]]
     return out
 
 
@@ -280,10 +375,15 @@ def pbm_dumps(mask: Mask) -> str:
     return f"P1\n{width} {height}\n{body}"
 
 
+# A comment runs from '#' to the end of its line, where lines end as in
+# ``str.splitlines``; whitespace is what ``str.split`` splits on.
+_PBM_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+_ASCII_SPACE = bytes(code for code in range(128) if chr(code).isspace())
+
+
 def pbm_loads(text: str) -> Mask:
     """Parse ASCII PBM; accepts packed or whitespace-separated bits and comments."""
-    lines = [line.split("#", 1)[0] for line in text.splitlines()]
-    tokens = " ".join(lines).split()
+    tokens = _PBM_COMMENT.sub("", text).split(maxsplit=3)
     if len(tokens) < 3 or tokens[0] != "P1":
         raise ValueError("not an ASCII PBM document (missing P1 header)")
     try:
@@ -292,14 +392,19 @@ def pbm_loads(text: str) -> Mask:
         raise ValueError("malformed PBM dimensions") from exc
     if width < 1 or height < 1:
         raise ValueError(f"invalid PBM dimensions {width}x{height}")
-    bits = "".join(tokens[3:])
+    payload = tokens[3] if len(tokens) == 4 else ""
+    if not payload.isascii():
+        # Non-ASCII whitespace becomes a space, any other non-ASCII character
+        # a '?': one byte per character, neither a bit nor whitespace.
+        payload = " ".join(payload.split())
+    bits = payload.encode("ascii", "replace").translate(None, _ASCII_SPACE)
     if len(bits) != width * height:
         raise ValueError(
             f"PBM payload has {len(bits)} bits, expected {width * height}"
         )
-    if bits.strip("01"):
+    if bits.translate(None, b"01"):
         raise ValueError("PBM payload contains characters other than 0/1")
-    flat = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
+    flat = np.frombuffer(bits, dtype=np.uint8) == ord("1")
     return flat.reshape(height, width)
 
 

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.ndimage import maximum_filter
 
-from .geometry import Box, Mask, box_iou, boundary_pixels, mask_iou
+from .geometry import Box, Mask, box_iou, boundary_pixels, mask_bbox, mask_iou
 from .rerank import Track
 
 SUCCESS_THRESHOLD_COUNT = 21  # thresholds 0.00, 0.05, ..., 1.00
@@ -139,12 +139,17 @@ def boundary_f(pred: Mask, gt: Mask, tolerance: int | None = None) -> float:
         tolerance = default_boundary_tolerance(*pred.shape)
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    window = mask_bbox(pred | gt)
+    if window is None:
+        return 1.0  # both masks empty; any non-empty mask has a boundary pixel
+    # Every count below is unchanged by the crop: no boundary pixel lies
+    # outside the union bbox, the zero padding at its edge stands in for the
+    # unset pixels there, and the reach maps are only read at boundary pixels.
+    pred, gt = pred[window], gt[window]
     pred_boundary = boundary_pixels(pred)
     gt_boundary = boundary_pixels(gt)
     pred_count = int(pred_boundary.sum())
     gt_count = int(gt_boundary.sum())
-    if pred_count == 0 and gt_count == 0:
-        return 1.0
     if pred_count == 0 or gt_count == 0:
         return 0.0
     size = 2 * tolerance + 1
@@ -158,8 +163,17 @@ def boundary_f(pred: Mask, gt: Mask, tolerance: int | None = None) -> float:
 
 
 def _centroid(mask: Mask) -> tuple[float, float]:
-    rows, cols = np.nonzero(mask)
-    return float(rows.mean()), float(cols.mean())
+    # Integer moments from the row and column sums inside the bbox; exact
+    # below 2**53, so each coordinate is the correctly rounded mean index.
+    rows, cols = mask_bbox(mask)
+    crop = mask[rows, cols]
+    row_counts = np.count_nonzero(crop, axis=1)
+    col_counts = np.count_nonzero(crop, axis=0)
+    total = int(row_counts.sum())
+    return (
+        int(row_counts @ np.arange(rows.start, rows.stop)) / total,
+        int(col_counts @ np.arange(cols.start, cols.stop)) / total,
+    )
 
 
 def _translate(mask: Mask, dr: int, dc: int) -> Mask:

@@ -315,6 +315,15 @@ def _require(record, fields, path, number):
         raise ValueError(f"{path}:{number}: missing fields {', '.join(missing)}")
 
 
+def _frame_index(value) -> int:
+    """A frame id as read from JSON: an integer >= 1, never a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"frame must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"frame index must be >= 1, got {value}")
+    return value
+
+
 def read_proposals(path) -> tuple[dict[tuple[str, str], VideoProposals], set[str]]:
     """Read a proposals JSONL file, grouping by (video, query).
 
@@ -329,7 +338,7 @@ def read_proposals(path) -> tuple[dict[tuple[str, str], VideoProposals], set[str
         unknown.update(record.keys() - _PROPOSAL_FIELDS)
         try:
             proposal = Proposal(
-                frame=int(record["frame"]),
+                frame=_frame_index(record["frame"]),
                 box=Box(
                     float(record["x"]), float(record["y"]),
                     float(record["w"]), float(record["h"]),
@@ -338,7 +347,7 @@ def read_proposals(path) -> tuple[dict[tuple[str, str], VideoProposals], set[str
                 objectness=float(record["objectness"]),
                 proposal_id=int(record["id"]),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{number}: {exc}") from exc
         grouped.setdefault((str(record["video"]), str(record["query"])), []).append(proposal)
     videos = {
@@ -369,17 +378,18 @@ def read_tracks(path) -> dict[tuple[str, str], Track]:
     for number, record in _parse_jsonl(path):
         _require(record, _TRACK_FIELDS, path, number)
         key = (str(record["video"]), str(record["query"]))
-        track = tracks.setdefault(key, Track(key[0], key[1]))
-        frame = int(record["frame"])
-        if frame in track.entries:
-            raise ValueError(f"{path}:{number}: duplicate frame {frame} for {key}")
         try:
-            track.entries[frame] = Box(
+            frame = _frame_index(record["frame"])
+            box = Box(
                 float(record["x"]), float(record["y"]),
                 float(record["w"]), float(record["h"]),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{number}: {exc}") from exc
+        track = tracks.setdefault(key, Track(key[0], key[1]))
+        if frame in track.entries:
+            raise ValueError(f"{path}:{number}: duplicate frame {frame} for {key}")
+        track.entries[frame] = box
     return tracks
 
 

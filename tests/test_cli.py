@@ -260,6 +260,57 @@ class TestEvalCommand:
         assert not (out / "report.json").exists()
 
 
+class TestRecordErrors:
+    """Bad field values are data errors naming file:line; nothing is written."""
+
+    GOOD_TRACK = {"video": "v", "query": "1", "frame": 3, "x": 0, "y": 0, "w": 4, "h": 4}
+    GOOD_ATTRS = {
+        "video": "v", "object": "1", "is_coco": True, "has_spatial": False,
+        "has_verb": False, "length_bin": "short", "num_objects_bin": "1",
+        "annotation_type": "first_frame",
+    }
+
+    @pytest.mark.parametrize("bad", [
+        {"x": None}, {"x": 10**400}, {"frame": "two"}, {"frame": 0}, {"frame": 1.9},
+        {"frame": True},
+    ])
+    def test_bad_track_field(self, tmp_path, capsys, bad):
+        gt = tmp_path / "gt.jsonl"
+        write_jsonl(gt, [self.GOOD_TRACK, {**self.GOOD_TRACK, "frame": 2, **bad}])
+        out = tmp_path / "report"
+        code = main([
+            "eval", "--pred-tracks", str(gt), "--gt-boxes", str(gt), "--out", str(out),
+        ])
+        assert code == 2
+        assert f"{gt}:2:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frame", [1.9, True, "2"])
+    def test_non_integer_proposal_frame(self, tmp_path, capsys, frame):
+        path = tmp_path / "proposals.jsonl"
+        write_jsonl(path, [TOY_PROPOSALS[0], dict(TOY_PROPOSALS[2], frame=frame)])
+        out = tmp_path / "out"
+        assert main(["rerank", "--proposals", str(path), "--out", str(out)]) == 2
+        assert f"{path}:2:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["is_coco", "has_spatial", "has_verb"])
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_non_boolean_attribute_flag(self, tmp_path, capsys, flag, value):
+        gt = tmp_path / "gt.jsonl"
+        write_jsonl(gt, [self.GOOD_TRACK])
+        attrs = tmp_path / "attrs.jsonl"
+        write_jsonl(attrs, [dict(self.GOOD_ATTRS, **{flag: value})])
+        out = tmp_path / "report"
+        code = main([
+            "eval", "--pred-tracks", str(gt), "--gt-boxes", str(gt),
+            "--attrs", str(attrs), "--out", str(out),
+        ])
+        assert code == 2
+        assert f"{attrs}:1: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSimulateCommand:
     def _specs(self, tmp_path, corruption=CLEAN_CORRUPTION):
         scene = tmp_path / "scene.txt"

@@ -193,6 +193,18 @@ class TestCorpusFiles:
         assert loaded[("market-stall", "4")].is_coco is False
         assert loaded[("street-cross", "3")].num_objects_bin == "2-3"
 
+    @pytest.mark.parametrize("line", [
+        '{"video": "v", "object": "1", "is_coco": "false", "has_spatial": false, '
+        '"has_verb": false, "length_bin": "short", "num_objects_bin": "1", '
+        '"annotation_type": "first_frame"}',
+        "[1, 2]",
+    ])
+    def test_attributes_reject_non_boolean_flags_and_non_objects(self, tmp_path, line):
+        path = tmp_path / "attrs.jsonl"
+        path.write_text("\n" + line + "\n")
+        with pytest.raises(ValueError, match=":2: "):
+            read_attributes(path)
+
     def test_load_word_list(self, tmp_path):
         path = tmp_path / "words.txt"
         path.write_text("Left\n# comment\n\nright\n")

@@ -1,0 +1,298 @@
+"""Bbox-limited mask kernels and the array PBM reader against full-frame oracles.
+
+The oracles below are the full-frame implementations the fast kernels
+replaced.  Every property asserts exact equality: the fast kernels skip only
+pixels that provably cannot change the result.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter
+
+from trackref.geometry import (
+    AffineTransform,
+    _warp_window,
+    boundary_pixels,
+    box_from_mask,
+    mask_bbox,
+    mask_iou,
+    pbm_dumps,
+    pbm_loads,
+    warp_mask,
+)
+from trackref.metrics import _centroid, boundary_f, default_boundary_tolerance
+
+
+def warp_mask_full_frame(mask, transform):
+    height, width = mask.shape
+    inv = transform.inverse()
+    cols, rows = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
+    src_x = inv.a * cols + inv.b * rows + inv.tx
+    src_y = inv.c * cols + inv.d * rows + inv.ty
+    src_c = np.floor(src_x + 0.5).astype(np.int64)
+    src_r = np.floor(src_y + 0.5).astype(np.int64)
+    inside = (src_r >= 0) & (src_r < height) & (src_c >= 0) & (src_c < width)
+    out = np.zeros_like(mask)
+    out[inside] = mask[src_r[inside], src_c[inside]]
+    return out
+
+
+def mask_iou_full_frame(a, b):
+    union = int(np.logical_or(a, b).sum())
+    if union == 0:
+        return 1.0
+    return int(np.logical_and(a, b).sum()) / union
+
+
+def boundary_f_full_frame(pred, gt, tolerance):
+    pred_boundary = boundary_pixels(pred)
+    gt_boundary = boundary_pixels(gt)
+    pred_count = int(pred_boundary.sum())
+    gt_count = int(gt_boundary.sum())
+    if pred_count == 0 and gt_count == 0:
+        return 1.0
+    if pred_count == 0 or gt_count == 0:
+        return 0.0
+    size = 2 * tolerance + 1
+    gt_reach = maximum_filter(gt_boundary.astype(np.uint8), size=size, mode="constant") > 0
+    pred_reach = maximum_filter(pred_boundary.astype(np.uint8), size=size, mode="constant") > 0
+    precision = int((pred_boundary & gt_reach).sum()) / pred_count
+    recall = int((gt_boundary & pred_reach).sum()) / gt_count
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
+def centroid_by_nonzero(mask):
+    rows, cols = np.nonzero(mask)
+    return float(rows.mean()), float(cols.mean())
+
+
+def pbm_loads_by_tokens(text):
+    """The token-by-token PBM parser: split on whitespace, join the payload."""
+    lines = [line.split("#", 1)[0] for line in text.splitlines()]
+    tokens = " ".join(lines).split()
+    if len(tokens) < 3 or tokens[0] != "P1":
+        raise ValueError("not an ASCII PBM document (missing P1 header)")
+    try:
+        width, height = int(tokens[1]), int(tokens[2])
+    except ValueError as exc:
+        raise ValueError("malformed PBM dimensions") from exc
+    if width < 1 or height < 1:
+        raise ValueError(f"invalid PBM dimensions {width}x{height}")
+    bits = "".join(tokens[3:])
+    if len(bits) != width * height:
+        raise ValueError(
+            f"PBM payload has {len(bits)} bits, expected {width * height}"
+        )
+    if bits.strip("01"):
+        raise ValueError("PBM payload contains characters other than 0/1")
+    flat = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
+    return flat.reshape(height, width)
+
+
+@st.composite
+def masks(draw, shape=None):
+    """Sparse or dense pixels inside a random sub-window, often at the border."""
+    if shape is None:
+        shape = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    height, width = shape
+    r0 = draw(st.integers(0, height - 1))
+    r1 = draw(st.integers(r0 + 1, height))
+    c0 = draw(st.integers(0, width - 1))
+    c1 = draw(st.integers(c0 + 1, width))
+    density = draw(st.sampled_from([0.0, 0.05, 0.4, 0.9, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    mask = np.zeros(shape, dtype=bool)
+    mask[r0:r1, c0:c1] = np.random.default_rng(seed).random((r1 - r0, c1 - c0)) < density
+    if density:  # only density 0 gives an empty mask
+        mask[draw(st.integers(r0, r1 - 1)), draw(st.integers(c0, c1 - 1))] = True
+    return mask
+
+
+@st.composite
+def mask_pairs(draw):
+    first = draw(masks())
+    return first, draw(masks(shape=first.shape))
+
+
+@st.composite
+def warp_cases(draw):
+    """A mask and a rotation, shear, scaling or near-singular linear map about
+    the frame center, plus a shift, so that content often stays in view."""
+    mask = draw(masks())
+    kind = draw(st.sampled_from(["similar", "shear", "general", "near_singular"]))
+    if kind == "similar":
+        angle = draw(st.floats(-math.pi, math.pi))
+        scale = draw(st.floats(0.2, 5.0))
+        a, b = scale * math.cos(angle), -scale * math.sin(angle)
+        c, d = -b, a
+    elif kind == "shear":
+        a, d = draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0))
+        b, c = draw(st.floats(-3, 3)), 0.0
+    elif kind == "general":
+        a, b, c, d = (draw(st.floats(-3, 3)) for _ in range(4))
+    else:  # |det| from about 1e-3 down to about 1e-9
+        a, b, c = (draw(st.floats(0.1, 3.0)) for _ in range(3))
+        d = b * c / a + draw(st.sampled_from([1e-3, -1e-6, 1e-9, -1e-9]))
+    shift = st.one_of(st.floats(-8, 8), st.integers(-16, 16).map(lambda v: v / 2))
+    cy, cx = (mask.shape[0] - 1) / 2, (mask.shape[1] - 1) / 2
+    tx = cx - (a * cx + b * cy) + draw(shift)
+    ty = cy - (c * cx + d * cy) + draw(shift)
+    try:
+        transform = AffineTransform(a, b, tx, c, d, ty)
+        if draw(st.booleans()):
+            transform = transform.inverse()  # the near-singular map becomes the inverse
+        transform.inverse()
+    except ValueError:
+        assume(False)
+    return mask, transform
+
+
+class TestMaskBbox:
+    @given(masks())
+    def test_matches_nonzero_extent(self, mask):
+        rows, cols = np.nonzero(mask)
+        if rows.size == 0:
+            assert mask_bbox(mask) is None and box_from_mask(mask) is None
+            return
+        expected = (slice(rows.min(), rows.max() + 1), slice(cols.min(), cols.max() + 1))
+        assert mask_bbox(mask) == expected
+
+
+class TestWarpMaskOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(warp_cases())
+    def test_equals_full_frame(self, case):
+        mask, transform = case
+        assert np.array_equal(warp_mask(mask, transform), warp_mask_full_frame(mask, transform))
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5, 1.5, 2.5 - 2**-40])
+    def test_half_pixel_shifts_at_the_border(self, shift):
+        mask = np.zeros((7, 9), dtype=bool)
+        mask[0, 0] = mask[6, 8] = mask[3, 4] = True
+        transform = AffineTransform.translation(shift, -shift)
+        assert np.array_equal(warp_mask(mask, transform), warp_mask_full_frame(mask, transform))
+
+
+@st.composite
+def bbox_edge_ties(draw, height=8, width=64):
+    """A source bbox and an inverse map sending some output pixel within a few
+    ulps of the rounding tie at one of the bbox edges."""
+    row0 = draw(st.integers(0, height - 1))
+    row1 = draw(st.integers(row0 + 1, height))
+    col0 = draw(st.integers(0, width - 1))
+    col1 = draw(st.integers(col0 + 1, width))
+    coefficient = st.floats(-40, 40) | st.integers(-50, 50).filter(bool).map(lambda n: 1 / n)
+    a, b, c, d = (draw(coefficient | st.just(0.0)) for _ in range(4))
+    assume(abs(a * d - b * c) > 1e-6)
+    col, row = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+    tie_x = draw(st.sampled_from([col0, col1])) - 0.5
+    tie_y = draw(st.sampled_from([row0, row1])) - 0.5
+    tx = tie_x - a * col - b * row
+    ty = tie_y - c * col - d * row
+    tx += draw(st.integers(-4, 4)) * math.ulp(tx)
+    ty += draw(st.integers(-4, 4)) * math.ulp(ty)
+    return (row0, row1, col0, col1), AffineTransform(a, b, tx, c, d, ty)
+
+
+class TestWarpWindow:
+    @settings(max_examples=300, deadline=None)
+    @given(bbox_edge_ties())
+    @example(((0, 1, 0, 1), AffineTransform(0.0, -0.5, -5e-324, 1.0, 0.0, -0.5)))
+    @example(((0, 8, 27, 54), AffineTransform(-1 / 3, 0.0, 43.166666666666664, 0.0, 1.0, 0.0)))
+    def test_holds_every_pixel_rounding_into_the_source_bbox(self, case):
+        (row0, row1, col0, col1), inv = case
+        height, width = 8, 64
+        cols, rows = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
+        src_c = np.floor(inv.a * cols + inv.b * rows + inv.tx + 0.5)
+        src_r = np.floor(inv.c * cols + inv.d * rows + inv.ty + 0.5)
+        reached = (src_r >= row0) & (src_r < row1) & (src_c >= col0) & (src_c < col1)
+        source = (slice(row0, row1), slice(col0, col1))
+        top, bottom, left, right = _warp_window(inv, source, height, width)
+        window = np.zeros_like(reached)
+        window[top:bottom, left:right] = True
+        assert not (reached & ~window).any()
+
+
+class TestMaskIouOracle:
+    @given(mask_pairs())
+    def test_equals_full_frame(self, pair):
+        assert mask_iou(*pair) == mask_iou_full_frame(*pair)
+
+
+class TestBoundaryFOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(mask_pairs(), st.integers(0, 4))
+    def test_equals_full_frame(self, pair, tolerance):
+        assert boundary_f(*pair, tolerance) == boundary_f_full_frame(*pair, tolerance)
+
+    @given(mask_pairs())
+    def test_default_tolerance_equals_full_frame(self, pair):
+        tolerance = default_boundary_tolerance(*pair[0].shape)
+        assert boundary_f(*pair) == boundary_f_full_frame(*pair, tolerance)
+
+
+class TestCentroidOracle:
+    @given(masks())
+    def test_equals_nonzero_mean(self, mask):
+        assume(mask.any())
+        assert _centroid(mask) == centroid_by_nonzero(mask)
+
+
+def _outcome(parse, text):
+    try:
+        return "mask", parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# Bits, every ASCII whitespace str.split accepts, line ends str.splitlines
+# accepts, non-ASCII whitespace, comment marks and stray characters.
+_PBM_CHARS = "01" * 6 + " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f" + "#P2x_+-" + "\xa0\x85\u2028\u3000\xe9"
+
+
+@st.composite
+def pbm_texts(draw):
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=_PBM_CHARS, max_size=40).map(lambda t: "P1 " + t))
+    separator = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u3000", min_size=1, max_size=3)
+    line_end = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                "\x85", "\u2028", "\u2029"])
+    comment = st.tuples(st.text(alphabet="01 #xP\x1f\t", max_size=6), line_end).map(
+        lambda parts: "#" + "".join(parts)
+    )
+    gap = st.lists(st.one_of(separator, comment), min_size=1, max_size=3).map("".join)
+    width, height = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    bits = draw(st.text(alphabet="01", min_size=max(0, width * height - 1),
+                        max_size=width * height + 1))
+    payload = [bits[i:i + draw(st.integers(1, 4))] for i in range(0, len(bits), 3)]
+    parts = ["P1", str(width), str(height), *payload]
+    return draw(gap).lstrip("\n") + "".join(p + draw(gap) for p in parts)
+
+
+class TestPbmLoadsOracle:
+    @settings(max_examples=250, deadline=None)
+    @given(pbm_texts())
+    @example("P1\x1c2\x1f1\x0b1\x0c0")
+    @example("P1 2 1 1\xa00")
+    @example("P1 1 1 \xe9")
+    @example("P1 2 1 1 0 # 1\x1d1")
+    @example("P1 +2 1_0 " + "1" * 20)
+    def test_equals_tokenizer(self, text):
+        kind, value = _outcome(pbm_loads, text)
+        expected_kind, expected = _outcome(pbm_loads_by_tokens, text)
+        assert kind == expected_kind
+        if kind == "error":
+            assert value == expected
+        else:
+            assert value.dtype == expected.dtype and np.array_equal(value, expected)
+
+    @given(masks())
+    def test_round_trip_equals_tokenizer(self, mask):
+        text = pbm_dumps(mask)
+        assert np.array_equal(pbm_loads(text), pbm_loads_by_tokens(text))
