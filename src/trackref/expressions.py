@@ -176,9 +176,22 @@ def read_corpus(path) -> list[QueryRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{number}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{number}: expected a JSON object")
             missing = sorted(_REQUIRED_CORPUS_FIELDS - obj.keys())
             if missing:
                 raise ValueError(f"{path}:{number}: missing fields {', '.join(missing)}")
+            is_coco = obj.get("is_coco", False)
+            if not isinstance(is_coco, bool):
+                raise ValueError(
+                    f"{path}:{number}: is_coco must be true or false, got {is_coco!r}"
+                )
+            invalid_over_time = obj.get("invalid_over_time")
+            if invalid_over_time is not None and not isinstance(invalid_over_time, bool):
+                raise ValueError(
+                    f"{path}:{number}: invalid_over_time must be true, false or null, "
+                    f"got {invalid_over_time!r}"
+                )
             try:
                 records.append(QueryRecord(
                     video_id=str(obj["video"]),
@@ -186,11 +199,8 @@ def read_corpus(path) -> list[QueryRecord]:
                     annotator_id=str(obj["annotator"]),
                     annotation_type=str(obj["type"]),
                     text=str(obj["text"]),
-                    is_coco=bool(obj.get("is_coco", False)),
-                    invalid_over_time=(
-                        None if obj.get("invalid_over_time") is None
-                        else bool(obj["invalid_over_time"])
-                    ),
+                    is_coco=is_coco,
+                    invalid_over_time=invalid_over_time,
                 ))
             except ValueError as exc:
                 raise ValueError(f"{path}:{number}: {exc}") from exc

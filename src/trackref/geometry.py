@@ -321,13 +321,13 @@ def boundary_pixels(mask: Mask) -> Mask:
 
 def rle_encode(mask: Mask) -> RleMask:
     """Encode a mask as row-major run lengths, zero run first."""
-    flat = mask.ravel().astype(np.int8)
-    change_points = np.flatnonzero(np.diff(flat)) + 1
+    flat = mask.ravel()
+    change_points = np.flatnonzero(flat[1:] != flat[:-1]) + 1
     bounds = np.concatenate(([0], change_points, [flat.size]))
     runs = np.diff(bounds).tolist()
-    if flat[0] == 1:
+    if flat[0]:
         runs = [0] + runs
-    return RleMask(mask.shape[0], mask.shape[1], tuple(int(r) for r in runs))
+    return RleMask(mask.shape[0], mask.shape[1], tuple(runs))
 
 
 def rle_decode(rle: RleMask) -> Mask:

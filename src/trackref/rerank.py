@@ -23,6 +23,7 @@ sparse or huge frame ids cost nothing extra.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -315,13 +316,19 @@ def _require(record, fields, path, number):
         raise ValueError(f"{path}:{number}: missing fields {', '.join(missing)}")
 
 
-def _frame_index(value) -> int:
-    """A frame id as read from JSON: an integer >= 1, never a bool, float or string."""
+def _json_int(value, name: str) -> int:
+    """An integer as read from JSON: never a bool, float or string."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"frame must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"frame index must be >= 1, got {value}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _frame_index(value) -> int:
+    """A frame id as read from JSON: an integer >= 1."""
+    frame = _json_int(value, "frame")
+    if frame < 1:
+        raise ValueError(f"frame index must be >= 1, got {frame}")
+    return frame
 
 
 def read_proposals(path) -> tuple[dict[tuple[str, str], VideoProposals], set[str]]:
@@ -345,7 +352,7 @@ def read_proposals(path) -> tuple[dict[tuple[str, str], VideoProposals], set[str
                 ),
                 score=float(record["score"]),
                 objectness=float(record["objectness"]),
-                proposal_id=int(record["id"]),
+                proposal_id=_json_int(record["id"], "id"),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{number}: {exc}") from exc
@@ -357,19 +364,72 @@ def read_proposals(path) -> tuple[dict[tuple[str, str], VideoProposals], set[str
     return videos, unknown
 
 
+def _json_scalar(value) -> str:
+    """What ``json.dumps`` writes for one field value.
+
+    Floats go through ``float.__repr__`` (``repr`` of a ``np.float64`` names
+    its type), non-finite ones as json's ``NaN``/``Infinity``; ints through
+    ``int.__repr__``.  Anything else, bools and strings included, goes to
+    ``json.dumps`` itself.
+    """
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def _row_template(*fields: str) -> str:
+    """``str.format`` template of one JSONL row with these keys, in order."""
+    keys = (json.dumps(name).replace("{", "{{").replace("}", "}}") for name in fields)
+    return "{{" + ", ".join(f"{key}: {{}}" for key in keys) + "}}\n"
+
+
+_PLAIN_TYPES = frozenset((float, int))
+
+
+def _format_row(template: str, video: str, query: str, values) -> str:
+    """One row, byte for byte what ``json.dumps(record) + "\n"`` writes.
+
+    ``video`` and ``query`` come already encoded (once per pair, not per row).
+    A row of finite plain floats and ints, the usual case, is formatted in
+    one call: ``str.format`` writes a float or an int as its ``repr``.
+    """
+    if _PLAIN_TYPES.issuperset(map(type, values)):
+        try:
+            # Any NaN or infinity makes the sum non-finite; so may an
+            # overflowing sum, which only costs the slower path below.
+            plain = math.isfinite(sum(values))
+        except OverflowError:  # an int beyond the float range
+            plain = False
+        if plain:
+            return template.format(video, query, *values)
+    return template.format(video, query, *map(_json_scalar, values))
+
+
+_PROPOSAL_ROW = _row_template(
+    "video", "query", "frame", "x", "y", "w", "h", "score", "objectness", "id"
+)
+_SCORE_ROW = _row_template(
+    "video", "query", "frame", "x", "y", "w", "h", "score", "objectness", "id", "new_score"
+)
+_TRACK_ROW = _row_template("video", "query", "frame", "x", "y", "w", "h")
+
+
 def write_proposals(path, videos: dict[tuple[str, str], VideoProposals]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for (video, query) in sorted(videos):
             vp = videos[(video, query)]
+            head = (json.dumps(video), json.dumps(query))
             for frame in sorted(vp.frames):
                 for p in sorted(vp.frames[frame], key=lambda p: p.proposal_id):
-                    record = {
-                        "video": video, "query": query, "frame": frame,
-                        "x": p.box.x, "y": p.box.y, "w": p.box.w, "h": p.box.h,
-                        "score": p.score, "objectness": p.objectness,
-                        "id": p.proposal_id,
-                    }
-                    handle.write(json.dumps(record) + "\n")
+                    box = p.box
+                    handle.write(_format_row(_PROPOSAL_ROW, *head, (
+                        frame, box.x, box.y, box.w, box.h,
+                        p.score, p.objectness, p.proposal_id,
+                    )))
 
 
 def read_tracks(path) -> dict[tuple[str, str], Track]:
@@ -397,13 +457,12 @@ def write_tracks(path, tracks: dict[tuple[str, str], Track]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for key in sorted(tracks):
             track = tracks[key]
+            head = (json.dumps(track.video_id), json.dumps(track.query_id))
             for frame in sorted(track.entries):
                 box = track.entries[frame]
-                record = {
-                    "video": track.video_id, "query": track.query_id, "frame": frame,
-                    "x": box.x, "y": box.y, "w": box.w, "h": box.h,
-                }
-                handle.write(json.dumps(record) + "\n")
+                handle.write(_format_row(
+                    _TRACK_ROW, *head, (frame, box.x, box.y, box.w, box.h)
+                ))
 
 
 def write_scores(path, scored_by_key: dict[tuple[str, str], dict[int, list[ScoredProposal]]]) -> None:
@@ -411,13 +470,12 @@ def write_scores(path, scored_by_key: dict[tuple[str, str], dict[int, list[Score
     with open(path, "w", encoding="utf-8") as handle:
         for (video, query) in sorted(scored_by_key):
             scored = scored_by_key[(video, query)]
+            head = (json.dumps(video), json.dumps(query))
             for frame in sorted(scored):
                 for sp in sorted(scored[frame], key=lambda sp: sp.proposal.proposal_id):
                     p = sp.proposal
-                    record = {
-                        "video": video, "query": query, "frame": frame,
-                        "x": p.box.x, "y": p.box.y, "w": p.box.w, "h": p.box.h,
-                        "score": p.score, "objectness": p.objectness,
-                        "id": p.proposal_id, "new_score": sp.new_score,
-                    }
-                    handle.write(json.dumps(record) + "\n")
+                    box = p.box
+                    handle.write(_format_row(_SCORE_ROW, *head, (
+                        frame, box.x, box.y, box.w, box.h,
+                        p.score, p.objectness, p.proposal_id, sp.new_score,
+                    )))

@@ -18,11 +18,21 @@ The generator is a keyed SplitMix64 stream:
 GOLDEN is the 64-bit golden-ratio constant 0x9E3779B97F4A7C15.  Because every
 draw is a pure function of (key, counter), independent work units can consume
 their own streams in any order without affecting each other.
+
+Batch form: ``rng.child_units(parts, count)`` gives, as one float array, the
+first ``count`` units of every integer child ``rng.child(part)``.  It runs
+the same formulas through ``mix64_array`` on ``np.uint64`` arrays, whose
+arithmetic wraps mod 2^64 like the masked integer version, so every entry is
+bit-identical to the scalar draw.  The scalar ``SplitRng`` stays the
+definition of the stream; the batch form only removes per-draw overhead.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -34,6 +44,30 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """:func:`mix64` element-wise over a ``np.uint64`` array.
+
+    Array arithmetic on uint64 wraps mod 2^64 without a warning (0-d numpy
+    scalars would warn on overflow, so callers pass arrays).
+    """
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def scale_unit(unit: float, low: float, high: float) -> float:
+    """Map a unit in [0, 1) onto [low, high)."""
+    return low + (high - low) * unit
+
+
+def box_muller(u1: float, u2: float, mean: float = 0.0, sd: float = 1.0) -> float:
+    """Gaussian draw from two units in [0, 1) (the Box-Muller transform)."""
+    if u1 <= 0.0:
+        u1 = 2.0 ** -53
+    radius = math.sqrt(-2.0 * math.log(u1))
+    return mean + sd * radius * math.cos(2.0 * math.pi * u2)
 
 
 def _fold(key: int, part: int | str) -> int:
@@ -71,6 +105,21 @@ class SplitRng:
         rng._count = 0
         return rng
 
+    def child_units(self, parts, count: int) -> np.ndarray:
+        """Units of many integer children at once, as a ``(len(parts), count)`` array.
+
+        Entry ``[i, c]`` equals draw ``c + 1`` of ``self.child(parts[i]).unit()``;
+        no counter moves.
+        """
+        # Reduced in Python first, so negative and huge parts fold as in _fold.
+        folded = np.array(
+            [(operator.index(p) + _GOLDEN) & _MASK64 for p in parts], dtype=np.uint64
+        )
+        keys = mix64_array(np.array([self._key], dtype=np.uint64) ^ mix64_array(folded))
+        steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        draws = mix64_array(keys[:, None] + steps[None, :])
+        return (draws >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
     def next_u64(self) -> int:
         self._count += 1
         return mix64((self._key + self._count * _GOLDEN) & _MASK64)
@@ -80,16 +129,13 @@ class SplitRng:
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
     def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.unit()
+        return scale_unit(self.unit(), low, high)
 
     def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
         """Gaussian draw via the Box-Muller transform (two u64 draws)."""
         u1 = (self.next_u64() >> 11) * (2.0 ** -53)
         u2 = (self.next_u64() >> 11) * (2.0 ** -53)
-        if u1 <= 0.0:
-            u1 = 2.0 ** -53
-        radius = math.sqrt(-2.0 * math.log(u1))
-        return mean + sd * radius * math.cos(2.0 * math.pi * u2)
+        return box_muller(u1, u2, mean, sd)
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high], unbiased via rejection."""

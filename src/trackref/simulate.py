@@ -30,7 +30,7 @@ from .geometry import (
     warp_mask,
 )
 from .rerank import Proposal, VideoProposals
-from .rng import SplitRng
+from .rng import SplitRng, box_muller, scale_unit
 
 TARGET_BASE_SCORE = 0.8
 DISTRACTOR_BASE_SCORE = 0.3
@@ -324,12 +324,13 @@ def _clamp01(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _distractor_box(rng: SplitRng, width: int, height: int) -> Box:
-    w = rng.uniform(0.1, 0.5) * width
-    h = rng.uniform(0.1, 0.5) * height
-    w, h = max(w, 1.0), max(h, 1.0)
-    x = rng.uniform(0.0, max(width - w, 0.0))
-    y = rng.uniform(0.0, max(height - h, 0.0))
+def _distractor_box(units, width: int, height: int) -> Box:
+    """A random box from four units: width, height, left edge, top edge."""
+    uw, uh, ux, uy = units
+    w = max(scale_unit(uw, 0.1, 0.5) * width, 1.0)
+    h = max(scale_unit(uh, 0.1, 0.5) * height, 1.0)
+    x = scale_unit(ux, 0.0, max(width - w, 0.0))
+    y = scale_unit(uy, 0.0, max(height - h, 0.0))
     return Box(x, y, w, h)
 
 
@@ -351,12 +352,16 @@ def generate_proposals(
     """
     if rng is None:
         rng = SplitRng(corruption.seed)
+    noise_sd = corruption.score_noise_sd
+    distractor_ids = range(1, corruption.distractors_per_frame + 1)
     out: dict[str, VideoProposals] = {}
     for obj_index in sorted(gt.boxes):
-        obj_rng = rng.child("object", obj_index)
+        # Path folding is sequential, so the shared prefixes are folded once:
+        # child("object", i, "frame").child(f) is child("object", i, "frame", f).
+        frames_rng = rng.child("object", obj_index, "frame")
         frames: dict[int, list[Proposal]] = {}
         for frame in range(1, gt.num_frames + 1):
-            frame_rng = obj_rng.child("frame", frame)
+            frame_rng = frames_rng.child(frame)
             proposals: list[Proposal] = []
             true_box = gt.boxes[obj_index].get(frame)
             if true_box is not None:
@@ -364,17 +369,19 @@ def generate_proposals(
                     true_box, corruption.box_jitter_fraction,
                     frame_rng.child("jitter"), gt.width, gt.height,
                 )
-                noise = frame_rng.child("target-score").normal(0.0, corruption.score_noise_sd)
+                noise = frame_rng.child("target-score").normal(0.0, noise_sd)
                 proposals.append(Proposal(
                     frame=frame, box=jittered,
                     score=_clamp01(TARGET_BASE_SCORE + noise),
                     objectness=PROPOSAL_OBJECTNESS, proposal_id=0,
                 ))
-            for d in range(1, corruption.distractors_per_frame + 1):
-                drng = frame_rng.child("distractor", d)
-                noise = drng.normal(0.0, corruption.score_noise_sd)
+            # Distractor d reads draws 1-2 (score noise) and 3-6 (box) of
+            # frame_rng.child("distractor", d); one batch holds them all.
+            units = frame_rng.child("distractor").child_units(distractor_ids, 6)
+            for d, (u1, u2, *box_units) in zip(distractor_ids, units.tolist()):
+                noise = box_muller(u1, u2, 0.0, noise_sd)
                 proposals.append(Proposal(
-                    frame=frame, box=_distractor_box(drng, gt.width, gt.height),
+                    frame=frame, box=_distractor_box(box_units, gt.width, gt.height),
                     score=_clamp01(DISTRACTOR_BASE_SCORE + noise),
                     objectness=PROPOSAL_OBJECTNESS, proposal_id=d,
                 ))

@@ -294,6 +294,42 @@ class TestRecordErrors:
         assert f"{path}:2:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("proposal_id", [1.9, True, "1", None, 1.0])
+    def test_non_integer_proposal_id(self, tmp_path, capsys, proposal_id):
+        path = tmp_path / "proposals.jsonl"
+        write_jsonl(path, [TOY_PROPOSALS[0], dict(TOY_PROPOSALS[1], id=proposal_id)])
+        out = tmp_path / "out"
+        assert main(["rerank", "--proposals", str(path), "--out", str(out)]) == 2
+        assert f"{path}:2: id must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    GOOD_CORPUS = {
+        "video": "v", "object": "1", "annotator": "a", "type": "first_frame",
+        "text": "a dog on the left",
+    }
+
+    @pytest.mark.parametrize("line", [
+        "[1, 2]",
+        '"text"',
+        json.dumps(dict(GOOD_CORPUS, is_coco="false")),
+        json.dumps(dict(GOOD_CORPUS, is_coco=None)),
+        json.dumps(dict(GOOD_CORPUS, is_coco=0)),
+        json.dumps(dict(GOOD_CORPUS, invalid_over_time="false")),
+        json.dumps(dict(GOOD_CORPUS, invalid_over_time=1)),
+    ], ids=[
+        "array", "string", "is_coco-string", "is_coco-null", "is_coco-zero",
+        "invalid_over_time-string", "invalid_over_time-one",
+    ])
+    def test_bad_corpus_record(self, tmp_path, capsys, line):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(self.GOOD_CORPUS) + "\n" + line + "\n")
+        out = tmp_path / "stats"
+        assert main(["stats", "--corpus", str(corpus), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"{corpus}:2: " in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["is_coco", "has_spatial", "has_verb"])
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_non_boolean_attribute_flag(self, tmp_path, capsys, flag, value):

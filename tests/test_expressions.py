@@ -178,6 +178,16 @@ class TestCorpusFiles:
         assert loaded.is_coco is True
         assert loaded.invalid_over_time is False
 
+    def test_optional_flags_default_and_null(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        base = {"video": "v", "object": 1, "annotator": 1, "type": "first_frame", "text": "a cat"}
+        path.write_text(
+            json.dumps(base) + "\n" + json.dumps(dict(base, invalid_over_time=None)) + "\n"
+        )
+        first, second = read_corpus(path)
+        assert first.is_coco is False and first.invalid_over_time is None
+        assert second.invalid_over_time is None
+
     def test_attributes_round_trip(self, tmp_path):
         records = read_corpus(bundled_sample_corpus_path())
         lexicons = bundled_lexicons()

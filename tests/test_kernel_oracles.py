@@ -1,7 +1,7 @@
-"""Bbox-limited mask kernels and the array PBM reader against full-frame oracles.
+"""Bbox-limited mask kernels and the array mask codecs against their oracles.
 
 The oracles below are the full-frame implementations the fast kernels
-replaced.  Every property asserts exact equality: the fast kernels skip only
+replaced, and the integer-diff RLE encoder.  Every property asserts exact equality: the fast kernels skip only
 pixels that provably cannot change the result.
 """
 
@@ -20,8 +20,10 @@ from trackref.geometry import (
     box_from_mask,
     mask_bbox,
     mask_iou,
+    RleMask,
     pbm_dumps,
     pbm_loads,
+    rle_encode,
     warp_mask,
 )
 from trackref.metrics import _centroid, boundary_f, default_boundary_tolerance
@@ -93,6 +95,17 @@ def pbm_loads_by_tokens(text):
         raise ValueError("PBM payload contains characters other than 0/1")
     flat = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
     return flat.reshape(height, width)
+
+
+def rle_encode_by_diff(mask):
+    """The RLE encoder that diffs an int8 copy of the mask."""
+    flat = mask.ravel().astype(np.int8)
+    change_points = np.flatnonzero(np.diff(flat)) + 1
+    bounds = np.concatenate(([0], change_points, [flat.size]))
+    runs = np.diff(bounds).tolist()
+    if flat[0] == 1:
+        runs = [0] + runs
+    return RleMask(mask.shape[0], mask.shape[1], tuple(int(r) for r in runs))
 
 
 @st.composite
@@ -296,3 +309,25 @@ class TestPbmLoadsOracle:
     def test_round_trip_equals_tokenizer(self, mask):
         text = pbm_dumps(mask)
         assert np.array_equal(pbm_loads(text), pbm_loads_by_tokens(text))
+
+
+def _first_pixel_set(height, width):
+    mask = np.zeros((height, width), dtype=bool)
+    mask[0, 0] = True
+    return mask
+
+
+class TestRleEncodeOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(masks())
+    @example(np.zeros((5, 3), dtype=bool))
+    @example(np.ones((3, 7), dtype=bool))
+    @example(np.zeros((1, 1), dtype=bool))
+    @example(np.ones((1, 1), dtype=bool))
+    @example(_first_pixel_set(4, 9))
+    @example(_first_pixel_set(9, 1))
+    @example(np.eye(6, 4, dtype=bool))
+    def test_equals_int8_diff(self, mask):
+        encoded = rle_encode(mask)
+        assert encoded == rle_encode_by_diff(mask)
+        assert all(type(run) is int for run in encoded.runs)
