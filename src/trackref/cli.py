@@ -50,13 +50,17 @@ def _usage_error(message: str) -> int:
 # rerank
 # ---------------------------------------------------------------------------
 
-def cmd_rerank(args) -> int:
-    videos, unknown = rerank.read_proposals(args.proposals)
+def _read_proposals(path) -> dict[tuple[str, str], rerank.VideoProposals]:
+    videos, unknown = rerank.read_proposals(path)
     if not videos:
-        raise ValueError(f"no proposals in {args.proposals}")
+        raise ValueError(f"no proposals in {path}")
     for field in sorted(unknown):
         _warn(f"ignoring unknown proposal field {field!r}")
+    return videos
 
+
+def cmd_rerank(args) -> int:
+    videos = _read_proposals(args.proposals)
     scored, tracks, baselines = {}, {}, {}
     for key, vp in sorted(videos.items()):
         scored[key] = rerank.rerank_scores(vp, window=args.window, top_k=args.top_k)
@@ -373,11 +377,7 @@ def cmd_oracle(args) -> int:
     if args.oracle == "grounding":
         if args.proposals is None:
             return _usage_error("--oracle grounding requires --proposals")
-        videos, unknown = rerank.read_proposals(args.proposals)
-        if not videos:
-            raise ValueError(f"no proposals in {args.proposals}")
-        for field in sorted(unknown):
-            _warn(f"ignoring unknown proposal field {field!r}")
+        videos = _read_proposals(args.proposals)
         orphans = sorted(set(videos) - set(gt))
         if orphans:
             raise ValueError(

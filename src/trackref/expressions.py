@@ -3,7 +3,8 @@
 Expressions are tagged with fixed word lists rather than a grammatical
 tagger, keeping the flags deterministic and auditable.  Token counts use the
 package tokenizer (lowercase, split on non-alphanumeric runs), and length
-bins are short (< 4 tokens), medium (4-6) and long (> 6).
+bins are short (< 4 tokens), medium (4-6) and long (> 6).  Corpus and
+attribute files are read through the shared reader in :mod:`trackref.jsonl`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from statistics import fmean
 
+from .jsonl import FLAG, FLAG_OR_NULL, NAME, read_jsonl
 from .metrics import QueryAttributes
 
 ANNOTATION_TYPES = ("first_frame", "full_video")
@@ -37,8 +39,8 @@ class QueryRecord:
                 f"annotation type must be one of {ANNOTATION_TYPES}, "
                 f"got {self.annotation_type!r}"
             )
-        if not self.text.strip():
-            raise ValueError("query text must be non-empty")
+        if not tokenize(self.text):
+            raise ValueError(f"query text has no tokens: {self.text!r}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,6 @@ def tag_query(
     record: QueryRecord, lexicons: Lexicons, num_objects_in_video: int
 ) -> QueryAttributes:
     tokens = tokenize(record.text)
-    if not tokens:
-        raise ValueError(f"query text has no tokens: {record.text!r}")
     return QueryAttributes(
         is_coco=record.is_coco,
         has_spatial=any(t in lexicons.spatial_words for t in tokens),
@@ -163,47 +163,25 @@ def num_objects_by_video(records) -> dict[str, int]:
 # Corpus and attribute files (JSON Lines)
 # ---------------------------------------------------------------------------
 
-_REQUIRED_CORPUS_FIELDS = {"video", "object", "annotator", "type", "text"}
+_CORPUS_FIELDS = {
+    "video": NAME, "object": NAME, "annotator": NAME, "type": NAME, "text": NAME,
+    "is_coco": FLAG, "invalid_over_time": FLAG_OR_NULL,
+}
+_CORPUS_DEFAULTS = {"is_coco": False, "invalid_over_time": None}
+_ATTRIBUTE_FIELDS = {
+    "video": NAME, "object": NAME, "is_coco": FLAG, "has_spatial": FLAG,
+    "has_verb": FLAG, "length_bin": NAME, "num_objects_bin": NAME,
+    "annotation_type": NAME,
+}
 
 
 def read_corpus(path) -> list[QueryRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{number}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{number}: expected a JSON object")
-            missing = sorted(_REQUIRED_CORPUS_FIELDS - obj.keys())
-            if missing:
-                raise ValueError(f"{path}:{number}: missing fields {', '.join(missing)}")
-            is_coco = obj.get("is_coco", False)
-            if not isinstance(is_coco, bool):
-                raise ValueError(
-                    f"{path}:{number}: is_coco must be true or false, got {is_coco!r}"
-                )
-            invalid_over_time = obj.get("invalid_over_time")
-            if invalid_over_time is not None and not isinstance(invalid_over_time, bool):
-                raise ValueError(
-                    f"{path}:{number}: invalid_over_time must be true, false or null, "
-                    f"got {invalid_over_time!r}"
-                )
-            try:
-                records.append(QueryRecord(
-                    video_id=str(obj["video"]),
-                    object_id=str(obj["object"]),
-                    annotator_id=str(obj["annotator"]),
-                    annotation_type=str(obj["type"]),
-                    text=str(obj["text"]),
-                    is_coco=is_coco,
-                    invalid_over_time=invalid_over_time,
-                ))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{number}: {exc}") from exc
+    """Query records in file order; lines are checked by ``read_jsonl``."""
+    records: list[QueryRecord] = []
+    read_jsonl(
+        path, _CORPUS_FIELDS, lambda *values: records.append(QueryRecord(*values)),
+        _CORPUS_DEFAULTS,
+    )
     if not records:
         raise ValueError(f"no corpus records in {path}")
     return records
@@ -230,42 +208,14 @@ def write_attributes(path, tagged: list[tuple[QueryRecord, QueryAttributes]]) ->
 
 
 def read_attributes(path) -> dict[tuple[str, str], QueryAttributes]:
-    """Attributes keyed by (video, object); the first record per key wins."""
+    """Attributes keyed by (video, object); the first record per key wins.
+
+    Lines are checked by ``read_jsonl``, every record in full.
+    """
     out: dict[tuple[str, str], QueryAttributes] = {}
-    required = {
-        "video", "object", "is_coco", "has_spatial", "has_verb",
-        "length_bin", "num_objects_bin", "annotation_type",
-    }
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{number}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{number}: expected a JSON object")
-            missing = sorted(required - obj.keys())
-            if missing:
-                raise ValueError(f"{path}:{number}: missing fields {', '.join(missing)}")
-            for flag in ("is_coco", "has_spatial", "has_verb"):
-                if not isinstance(obj[flag], bool):
-                    raise ValueError(
-                        f"{path}:{number}: {flag} must be true or false, got {obj[flag]!r}"
-                    )
-            key = (str(obj["video"]), str(obj["object"]))
-            if key in out:
-                continue
-            try:
-                out[key] = QueryAttributes(
-                    is_coco=obj["is_coco"],
-                    has_spatial=obj["has_spatial"],
-                    has_verb=obj["has_verb"],
-                    length_bin=str(obj["length_bin"]),
-                    num_objects_bin=str(obj["num_objects_bin"]),
-                    annotation_type=str(obj["annotation_type"]),
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{number}: {exc}") from exc
+
+    def add(video, object_id, *tags):
+        out.setdefault((video, object_id), QueryAttributes(*tags))
+
+    read_jsonl(path, _ATTRIBUTE_FIELDS, add)
     return out

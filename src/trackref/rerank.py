@@ -18,6 +18,9 @@ later, and because IoU is symmetric each block adds support in both
 directions.  The cost is one block per offset; ``window`` stops the offsets
 once every pair lies beyond it.  Weights use the true frame distances, so
 sparse or huge frame ids cost nothing extra.
+
+The proposal and track readers check their lines through the shared reader
+in :mod:`trackref.jsonl`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Box, box_iou
+from .jsonl import INTEGER, NAME, NUMBER, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,9 @@ class Proposal:
     def __post_init__(self):
         if self.frame < 1:
             raise ValueError(f"frame index must be >= 1, got {self.frame}")
-        if not (np.isfinite(self.score) and self.score >= 0):
+        if not (math.isfinite(self.score) and self.score >= 0):
             raise ValueError(f"score must be finite and non-negative, got {self.score}")
-        if not (np.isfinite(self.objectness) and self.objectness >= 0):
+        if not (math.isfinite(self.objectness) and self.objectness >= 0):
             raise ValueError(
                 f"objectness must be finite and non-negative, got {self.objectness}"
             )
@@ -212,16 +216,6 @@ def rerank_scores(
     return result
 
 
-def _pick(candidates, key):
-    best = None
-    best_key = None
-    for item in candidates:
-        k = key(item)
-        if best is None or k > best_key:
-            best, best_key = item, k
-    return best
-
-
 def select_track(
     scored: dict[int, list[ScoredProposal]], video_id: str = "", query_id: str = ""
 ) -> Track:
@@ -234,7 +228,7 @@ def select_track(
     for frame, candidates in scored.items():
         if not candidates:
             continue
-        best = _pick(
+        best = max(
             candidates,
             key=lambda sp: (
                 sp.new_score,
@@ -253,7 +247,7 @@ def raw_select(vp: VideoProposals) -> Track:
     for frame, candidates in vp.frames.items():
         if not candidates:
             continue
-        best = _pick(
+        best = max(
             candidates,
             key=lambda p: (p.score, p.objectness, -p.proposal_id),
         )
@@ -274,7 +268,7 @@ def oracle_assign(vp: VideoProposals, gt_boxes: dict[int, Box | None]) -> Track:
         candidates = vp.frames.get(frame, [])
         if not candidates:
             continue
-        best = _pick(candidates, key=lambda p: (box_iou(p.box, gt), -p.proposal_id))
+        best = max(candidates, key=lambda p: (box_iou(p.box, gt), -p.proposal_id))
         entries[frame] = best.box
     return Track(vp.video_id, vp.query_id, entries)
 
@@ -290,73 +284,35 @@ def hybrid_track(gt_first: Box, reranked: Track) -> Track:
 # JSON Lines formats
 # ---------------------------------------------------------------------------
 
+_BOX_FIELDS = {"x": NUMBER, "y": NUMBER, "w": NUMBER, "h": NUMBER}
+_TRACK_FIELDS = {"video": NAME, "query": NAME, "frame": INTEGER, **_BOX_FIELDS}
 _PROPOSAL_FIELDS = {
-    "video", "query", "frame", "x", "y", "w", "h", "score", "objectness", "id",
+    **_TRACK_FIELDS, "score": NUMBER, "objectness": NUMBER, "id": INTEGER,
 }
-_TRACK_FIELDS = {"video", "query", "frame", "x", "y", "w", "h"}
-
-
-def _parse_jsonl(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{number}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{number}: expected a JSON object")
-            yield number, record
-
-
-def _require(record, fields, path, number):
-    missing = sorted(fields - record.keys())
-    if missing:
-        raise ValueError(f"{path}:{number}: missing fields {', '.join(missing)}")
-
-
-def _json_int(value, name: str) -> int:
-    """An integer as read from JSON: never a bool, float or string."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _frame_index(value) -> int:
-    """A frame id as read from JSON: an integer >= 1."""
-    frame = _json_int(value, "frame")
-    if frame < 1:
-        raise ValueError(f"frame index must be >= 1, got {frame}")
-    return frame
 
 
 def read_proposals(path) -> tuple[dict[tuple[str, str], VideoProposals], set[str]]:
     """Read a proposals JSONL file, grouping by (video, query).
 
     Returns the grouped proposals and the set of unknown field names seen
-    (the caller decides whether to warn).  Malformed lines raise ValueError
-    with the offending line number.
+    (the caller decides whether to warn).  Lines are read and checked by
+    :func:`trackref.jsonl.read_jsonl`, so malformed lines raise ValueError
+    naming ``path:line``.
     """
-    grouped: dict[tuple[str, str], list[Proposal]] = {}
-    unknown: set[str] = set()
-    for number, record in _parse_jsonl(path):
-        _require(record, _PROPOSAL_FIELDS, path, number)
-        unknown.update(record.keys() - _PROPOSAL_FIELDS)
-        try:
-            proposal = Proposal(
-                frame=_frame_index(record["frame"]),
-                box=Box(
-                    float(record["x"]), float(record["y"]),
-                    float(record["w"]), float(record["h"]),
-                ),
-                score=float(record["score"]),
-                objectness=float(record["objectness"]),
-                proposal_id=_json_int(record["id"], "id"),
+    frames: dict[tuple[str, str, int], dict[int, Proposal]] = {}
+
+    def add(video, query, frame, x, y, w, h, score, objectness, proposal_id):
+        by_id = frames.setdefault((video, query, frame), {})
+        if proposal_id in by_id:
+            raise ValueError(
+                f"duplicate proposal id {proposal_id} in frame {frame} of {video}/{query}"
             )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}:{number}: {exc}") from exc
-        grouped.setdefault((str(record["video"]), str(record["query"])), []).append(proposal)
+        by_id[proposal_id] = Proposal(frame, Box(x, y, w, h), score, objectness, proposal_id)
+
+    unknown = read_jsonl(path, _PROPOSAL_FIELDS, add)
+    grouped: dict[tuple[str, str], list[Proposal]] = {}
+    for (video, query, _), by_id in frames.items():
+        grouped.setdefault((video, query), []).extend(by_id.values())
     videos = {
         key: VideoProposals.from_proposals(key[0], key[1], props)
         for key, props in sorted(grouped.items())
@@ -435,21 +391,18 @@ def write_proposals(path, videos: dict[tuple[str, str], VideoProposals]) -> None
 def read_tracks(path) -> dict[tuple[str, str], Track]:
     """Read a track JSONL file (also used for ground-truth box files)."""
     tracks: dict[tuple[str, str], Track] = {}
-    for number, record in _parse_jsonl(path):
-        _require(record, _TRACK_FIELDS, path, number)
-        key = (str(record["video"]), str(record["query"]))
-        try:
-            frame = _frame_index(record["frame"])
-            box = Box(
-                float(record["x"]), float(record["y"]),
-                float(record["w"]), float(record["h"]),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}:{number}: {exc}") from exc
-        track = tracks.setdefault(key, Track(key[0], key[1]))
+
+    def add(video, query, frame, x, y, w, h):
+        if frame < 1:
+            raise ValueError(f"frame index must be >= 1, got {frame}")
+        box = Box(x, y, w, h)
+        key = (video, query)
+        track = tracks.setdefault(key, Track(video, query))
         if frame in track.entries:
-            raise ValueError(f"{path}:{number}: duplicate frame {frame} for {key}")
+            raise ValueError(f"duplicate frame {frame} for {key}")
         track.entries[frame] = box
+
+    read_jsonl(path, _TRACK_FIELDS, add)
     return tracks
 
 

@@ -50,7 +50,6 @@ class SceneSpec:
     num_frames: int
     objects: tuple[ObjectSpec, ...]
     background: AffineTransform
-    seed: int = 0
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -131,13 +130,14 @@ def _parse_affine(value: str, key: str) -> AffineTransform:
 def parse_scene_spec(text: str, path: str = "<scene spec>") -> SceneSpec:
     """Parse a scene spec file.
 
-    Recognized keys: ``width``, ``height``, ``num_frames``, ``seed``,
-    ``background`` (six affine coefficients ``a b tx c d ty``), and per
-    object ``object<k>.box`` (``x y w h``) / ``object<k>.motion`` (affine),
-    with k counting from 1.
+    Recognized keys: ``width``, ``height``, ``num_frames``, ``background``
+    (six affine coefficients ``a b tx c d ty``), and per object
+    ``object<k>.box`` (``x y w h``) / ``object<k>.motion`` (affine), with k
+    counting from 1.  Random draws are keyed by the corruption spec's seed
+    and ``--seed``, so a scene spec has no ``seed`` key.
     """
     entries = _parse_kv(text, path)
-    scalars = {"width": 1, "height": 1, "num_frames": 1, "seed": 0}
+    scalars = {"width": 1, "height": 1, "num_frames": 1}
     boxes: dict[int, Box] = {}
     motions: dict[int, AffineTransform] = {}
     background = AffineTransform.identity()
@@ -175,7 +175,7 @@ def parse_scene_spec(text: str, path: str = "<scene spec>") -> SceneSpec:
     return SceneSpec(
         width=scalars["width"], height=scalars["height"],
         num_frames=scalars["num_frames"], objects=tuple(objects),
-        background=background, seed=scalars["seed"],
+        background=background,
     )
 
 

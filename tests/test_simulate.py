@@ -30,7 +30,6 @@ SCENE_TEXT = """
 width = 48
 height = 32
 num_frames = 6
-seed = 3
 background = 1 0 0 0 1 0
 object1.box = 4 6 10 8
 object1.motion = 1 0 2 0 1 0
@@ -40,13 +39,16 @@ object1.motion = 1 0 2 0 1 0
 class TestSpecFiles:
     def test_parse_scene(self):
         spec = parse_scene_spec(SCENE_TEXT)
-        assert (spec.width, spec.height, spec.num_frames, spec.seed) == (48, 32, 6, 3)
+        assert (spec.width, spec.height, spec.num_frames) == (48, 32, 6)
         assert spec.objects[0].initial_box == Box(4, 6, 10, 8)
         assert spec.objects[0].motion == AffineTransform.translation(2, 0)
 
     def test_unknown_key_named(self):
         with pytest.raises(ValueError, match="speed"):
             parse_scene_spec("width = 4\nheight = 4\nnum_frames = 1\nobject1.box = 0 0 2 2\nspeed = 9\n")
+        # Draws are keyed by the corruption spec's seed; a scene has none.
+        with pytest.raises(ValueError, match="unknown scene spec key: 'seed'"):
+            parse_scene_spec("width = 4\nheight = 4\nnum_frames = 1\nobject1.box = 0 0 2 2\nseed = 3\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
