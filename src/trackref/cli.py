@@ -46,6 +46,14 @@ def _usage_error(message: str) -> int:
     return 1
 
 
+def _require_entries(available, wanted, holder: str, source) -> None:
+    """Abort naming every (video, query) key of ``wanted`` not in ``available``."""
+    missing = sorted(set(wanted) - set(available))
+    if missing:
+        keys = ", ".join(f"{video}/{query}" for video, query in missing)
+        raise ValueError(f"{holder} has no entry for {keys} (from {source})")
+
+
 # ---------------------------------------------------------------------------
 # rerank
 # ---------------------------------------------------------------------------
@@ -110,12 +118,7 @@ def _read_mask_tree(root) -> dict[tuple[str, str], dict[int, Mask]]:
 def _eval_boxes(args):
     pred = rerank.read_tracks(args.pred_tracks)
     gt = rerank.read_tracks(args.gt_boxes)
-    orphans = sorted(set(pred) - set(gt))
-    if orphans:
-        raise ValueError(
-            "predicted tracks without ground truth: "
-            + ", ".join(f"{v}/{q}" for v, q in orphans)
-        )
+    _require_entries(gt, pred, f"ground-truth file {args.gt_boxes}", args.pred_tracks)
 
     reports = {}
     for key in sorted(gt):
@@ -131,11 +134,7 @@ def _eval_boxes(args):
 def _eval_masks(args):
     pred = _read_mask_tree(args.pred_masks)
     gt = _read_mask_tree(args.gt_masks)
-    missing = sorted(set(gt) - set(pred))
-    if missing:
-        raise ValueError(
-            "missing predicted masks for: " + ", ".join(f"{v}/{q}" for v, q in missing)
-        )
+    _require_entries(pred, gt, f"predicted mask tree {args.pred_masks}", args.gt_masks)
 
     reports = {}
     for key in sorted(gt):
@@ -144,7 +143,8 @@ def _eval_masks(args):
         absent = sorted(set(gt_frames) - set(pred_frames))
         if absent:
             raise ValueError(
-                f"missing predicted masks for {key[0]}/{key[1]} frames {absent}"
+                f"predicted mask tree {args.pred_masks} has no masks for "
+                f"{key[0]}/{key[1]} frames {absent} (from {args.gt_masks})"
             )
         report = metrics.evaluate_masks(
             {f: pred_frames[f] for f in gt_frames}, gt_frames, tolerance=args.f_tol
@@ -155,10 +155,7 @@ def _eval_masks(args):
 
 def _breakdown_section(pairs, document, label, per_query, attrs):
     metric_values = {key: values[label] for key, values in per_query.items()}
-    try:
-        groups = metrics.attribute_breakdown(metric_values, attrs)
-    except ValueError as exc:
-        raise ValueError(f"attribute breakdown for {label}: {exc}") from exc
+    groups = metrics.attribute_breakdown(metric_values, attrs)
     for group, value in groups.items():
         pairs.append((f"breakdown/{label}/{group}", round4(value)))
         document.setdefault("breakdown", {}).setdefault(label, {})[group] = round4(value)
@@ -179,6 +176,9 @@ def cmd_eval(args) -> int:
     attrs = None
     if args.attrs is not None:
         attrs = expressions.read_attributes(args.attrs)
+        holder = f"attributes file {args.attrs}"
+        _require_entries(attrs, box_reports, holder, args.gt_boxes)
+        _require_entries(attrs, mask_reports, holder, args.gt_masks)
 
     pairs: list[tuple[str, object]] = []
     document: dict = {}
@@ -378,12 +378,7 @@ def cmd_oracle(args) -> int:
         if args.proposals is None:
             return _usage_error("--oracle grounding requires --proposals")
         videos = _read_proposals(args.proposals)
-        orphans = sorted(set(videos) - set(gt))
-        if orphans:
-            raise ValueError(
-                "proposals without ground truth: "
-                + ", ".join(f"{v}/{q}" for v, q in orphans)
-            )
+        _require_entries(gt, videos, f"ground-truth file {args.gt_boxes}", args.proposals)
         for key in sorted(videos):
             tracks[key] = rerank.oracle_assign(videos[key], gt[key].entries)
     else:  # oracle box proposals: ground-truth boxes become the proposal pool

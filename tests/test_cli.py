@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,24 @@ def write_jsonl(path, records):
 
 def read_report(out_dir):
     return json.loads((out_dir / "report.json").read_text())
+
+
+def write_mask_tree(root, key, frames, mask):
+    directory = root / key[0] / key[1]
+    directory.mkdir(parents=True)
+    for frame in frames:
+        write_mask(directory / f"{frame:05d}.rle", mask)
+
+
+def run_with_src(args, **kwargs):
+    """Run a Python child process that imports trackref from this checkout."""
+    src = str(Path(trackref.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+        **kwargs,
+    )
 
 
 @pytest.fixture
@@ -245,6 +264,25 @@ class TestEvalCommand:
         assert reports["4"] == 1.0
         assert reports["1"] <= reports["4"]
 
+    @pytest.mark.parametrize("tolerance", [10**6, 10**9, 2**62])
+    def test_huge_f_tolerance_equals_longer_side(self, tmp_path, tolerance):
+        write_mask_tree(tmp_path / "pred", ("v", "1"), (1, 2),
+                        rasterize_box(Box(10, 10, 30, 20), 100, 80))
+        write_mask_tree(tmp_path / "gt", ("v", "1"), (1, 2),
+                        rasterize_box(Box(50, 40, 30, 25), 100, 80))
+        reports = []
+        for tol in ("100", str(tolerance)):
+            out = tmp_path / f"report_{tol}"
+            start = time.perf_counter()
+            assert main([
+                "eval", "--pred-masks", str(tmp_path / "pred"),
+                "--gt-masks", str(tmp_path / "gt"), "--f-tol", tol, "--out", str(out),
+            ]) == 0
+            assert time.perf_counter() - start < 1.0  # milliseconds, whatever the tolerance
+            reports.append([(out / name).read_bytes() for name in ("report.txt", "report.json")])
+        assert reports[0] == reports[1]
+        assert read_report(tmp_path / f"report_{tolerance}")["aggregate"]["f_mean"] == 1.0
+
     def test_failure_leaves_no_partial_report(self, tmp_path):
         gt = tmp_path / "gt.jsonl"
         write_tracks(gt, {("v", "1"): Track("v", "1", {1: Box(0, 0, 4, 4)})})
@@ -258,6 +296,87 @@ class TestEvalCommand:
         assert code == 2
         assert not (out / "report.txt").exists()
         assert not (out / "report.json").exists()
+
+
+class TestCrossFileErrors:
+    """A key one input has and another lacks aborts naming both files."""
+
+    def _expect_abort(self, capsys, argv, out, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_attributes_file_lacks_a_query(self, tmp_path, capsys):
+        gt = tmp_path / "gt.jsonl"
+        write_tracks(gt, {("v", "1"): Track("v", "1", {1: Box(0, 0, 4, 4)})})
+        attrs = tmp_path / "a.jsonl"
+        write_jsonl(attrs, [
+            {"video": "w", "object": "1", "is_coco": True, "has_spatial": False,
+             "has_verb": False, "length_bin": "short", "num_objects_bin": "1",
+             "annotation_type": "first_frame"},
+        ])
+        out = tmp_path / "report"
+        self._expect_abort(capsys, [
+            "eval", "--pred-tracks", str(gt), "--gt-boxes", str(gt),
+            "--attrs", str(attrs), "--out", str(out),
+        ], out, f"attributes file {attrs} has no entry for v/1 (from {gt})")
+
+    def test_attributes_file_lacks_a_mask_query(self, tmp_path, capsys):
+        mask = rasterize_box(Box(2, 2, 5, 4), 16, 12)
+        write_mask_tree(tmp_path / "masks", ("v", "1"), (1, 2), mask)
+        attrs = tmp_path / "a.jsonl"
+        attrs.write_text("")
+        out = tmp_path / "report"
+        masks = tmp_path / "masks"
+        self._expect_abort(capsys, [
+            "eval", "--pred-masks", str(masks), "--gt-masks", str(masks),
+            "--attrs", str(attrs), "--out", str(out),
+        ], out, f"attributes file {attrs} has no entry for v/1 (from {masks})")
+
+    def test_predicted_tracks_without_ground_truth(self, tmp_path, capsys):
+        gt = tmp_path / "gt.jsonl"
+        write_tracks(gt, {("v", "1"): Track("v", "1", {1: Box(0, 0, 4, 4)})})
+        pred = tmp_path / "pred.jsonl"
+        write_tracks(pred, {
+            ("v", "2"): Track("v", "2", {1: Box(0, 0, 4, 4)}),
+            ("w", "1"): Track("w", "1", {1: Box(0, 0, 4, 4)}),
+        })
+        out = tmp_path / "report"
+        self._expect_abort(capsys, [
+            "eval", "--pred-tracks", str(pred), "--gt-boxes", str(gt), "--out", str(out),
+        ], out, f"ground-truth file {gt} has no entry for v/2, w/1 (from {pred})")
+
+    def test_missing_predicted_mask_query(self, tmp_path, capsys):
+        mask = rasterize_box(Box(2, 2, 5, 4), 16, 12)
+        write_mask_tree(tmp_path / "gt", ("v", "1"), (1, 2), mask)
+        write_mask_tree(tmp_path / "gt", ("v", "2"), (1, 2), mask)
+        write_mask_tree(tmp_path / "pred", ("v", "1"), (1, 2), mask)
+        pred, gt, out = tmp_path / "pred", tmp_path / "gt", tmp_path / "report"
+        self._expect_abort(capsys, [
+            "eval", "--pred-masks", str(pred), "--gt-masks", str(gt), "--out", str(out),
+        ], out, f"predicted mask tree {pred} has no entry for v/2 (from {gt})")
+
+    def test_missing_predicted_mask_frames(self, tmp_path, capsys):
+        mask = rasterize_box(Box(2, 2, 5, 4), 16, 12)
+        write_mask_tree(tmp_path / "gt", ("v", "1"), (1, 2, 3), mask)
+        write_mask_tree(tmp_path / "pred", ("v", "1"), (2,), mask)
+        pred, gt, out = tmp_path / "pred", tmp_path / "gt", tmp_path / "report"
+        self._expect_abort(capsys, [
+            "eval", "--pred-masks", str(pred), "--gt-masks", str(gt), "--out", str(out),
+        ], out, f"predicted mask tree {pred} has no masks for v/1 frames [1, 3] (from {gt})")
+
+    def test_oracle_proposals_without_ground_truth(self, tmp_path, capsys):
+        proposals = tmp_path / "proposals.jsonl"
+        write_jsonl(proposals, TOY_PROPOSALS)
+        gt = tmp_path / "gt.jsonl"
+        write_tracks(gt, {("vid", "other"): Track("vid", "other", {1: Box(0, 0, 4, 4)})})
+        out = tmp_path / "out"
+        self._expect_abort(capsys, [
+            "oracle", "--oracle", "grounding", "--proposals", str(proposals),
+            "--gt-boxes", str(gt), "--out", str(out),
+        ], out, f"ground-truth file {gt} has no entry for vid/q (from {proposals})")
 
 
 class TestRecordErrors:
@@ -575,12 +694,35 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("module", ["trackref", "trackref.cli"])
     def test_runs_as_module(self, module):
-        src = str(Path(trackref.__file__).resolve().parent.parent)
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-        done = subprocess.run(
-            [sys.executable, "-m", module, "rerank"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        done = run_with_src(["-m", module, "rerank"])
         assert done.returncode == 1
         assert "usage error" in done.stderr
+
+
+class TestNumpyOnlyRuntime:
+    """The package runs on numpy alone; scipy is a test-only dependency."""
+
+    def test_cli_import_loads_no_scipy(self):
+        done = run_with_src(["-c", (
+            "import sys, trackref.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+    def test_mask_pipeline_runs_with_scipy_blocked(self, tmp_path):
+        (tmp_path / "scene.txt").write_text(SCENE_SPEC)
+        (tmp_path / "corrupt.txt").write_text(CLEAN_CORRUPTION)
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+            "import trackref\n"
+            "from trackref.cli import main\n"
+            "assert main(['simulate', '--scene', 'scene.txt', '--corrupt', 'corrupt.txt',\n"
+            "             '--out', 'sim', '--mask-format', 'pbm']) == 0\n"
+            "assert main(['eval', '--pred-masks', 'sim/masks', '--gt-masks', 'sim/masks',\n"
+            "             '--out', 'report']) == 0\n"
+        )
+        done = run_with_src(["-c", script], cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert read_report(tmp_path / "report")["aggregate"]["jf"] == 1.0

@@ -2,7 +2,9 @@
 
 The oracles below are the full-frame implementations the fast kernels
 replaced, and the integer-diff RLE encoder.  Every property asserts exact equality: the fast kernels skip only
-pixels that provably cannot change the result.
+pixels that provably cannot change the result.  scipy is a test-only
+dependency: its ``maximum_filter`` is the independent reference for boundary
+F's square dilation.
 """
 
 import math
@@ -26,7 +28,12 @@ from trackref.geometry import (
     rle_encode,
     warp_mask,
 )
-from trackref.metrics import _centroid, boundary_f, default_boundary_tolerance
+from trackref.metrics import (
+    _centroid,
+    _square_dilation,
+    boundary_f,
+    default_boundary_tolerance,
+)
 
 
 def warp_mask_full_frame(mask, transform):
@@ -238,9 +245,38 @@ class TestMaskIouOracle:
         assert mask_iou(*pair) == mask_iou_full_frame(*pair)
 
 
+def _first_pixel_set(height, width):
+    mask = np.zeros((height, width), dtype=bool)
+    mask[0, 0] = True
+    return mask
+
+
+def _border_frame(height, width):
+    mask = np.zeros((height, width), dtype=bool)
+    mask[0, :] = mask[-1, :] = mask[:, 0] = mask[:, -1] = True
+    return mask
+
+
+class TestSquareDilationOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(masks),
+           st.integers(0, 50))
+    @example(np.zeros((40, 40), dtype=bool), 50)
+    @example(np.ones((1, 1), dtype=bool), 50)
+    @example(np.eye(1, 40, 39, dtype=bool), 0)
+    @example(np.eye(1, 40, 39, dtype=bool), 38)
+    @example(np.eye(40, 1, dtype=bool), 39)
+    @example(_border_frame(40, 33), 7)
+    @example(_first_pixel_set(40, 40), 40)
+    def test_equals_maximum_filter(self, mask, radius):
+        expected = maximum_filter(mask, size=2 * radius + 1, mode="constant")
+        dilated = _square_dilation(mask, radius)
+        assert dilated.dtype == bool and np.array_equal(dilated, expected)
+
+
 class TestBoundaryFOracle:
     @settings(max_examples=300, deadline=None)
-    @given(mask_pairs(), st.integers(0, 4))
+    @given(mask_pairs(), st.integers(0, 12))
     def test_equals_full_frame(self, pair, tolerance):
         assert boundary_f(*pair, tolerance) == boundary_f_full_frame(*pair, tolerance)
 
@@ -309,12 +345,6 @@ class TestPbmLoadsOracle:
     def test_round_trip_equals_tokenizer(self, mask):
         text = pbm_dumps(mask)
         assert np.array_equal(pbm_loads(text), pbm_loads_by_tokens(text))
-
-
-def _first_pixel_set(height, width):
-    mask = np.zeros((height, width), dtype=bool)
-    mask[0, 0] = True
-    return mask
 
 
 class TestRleEncodeOracle:

@@ -1,4 +1,5 @@
 import math
+import time
 from statistics import fmean
 
 import numpy as np
@@ -194,6 +195,18 @@ class TestBoundaryF:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions"):
             boundary_f(empty_mask(4, 4), empty_mask(4, 5))
+
+    @pytest.mark.parametrize("tolerance", [10**6, 10**9, 2**62])
+    def test_huge_tolerance_equals_longer_side(self, tolerance):
+        pred = rasterize_box(Box(10, 10, 30, 20), 100, 80)
+        gt = rasterize_box(Box(50, 40, 30, 25), 100, 80)
+        assert boundary_f(pred, gt, 1) < 1.0
+        start = time.perf_counter()
+        value = boundary_f(pred, gt, tolerance)
+        # The dilation is bounded by the masks' bbox, not by the tolerance:
+        # a few milliseconds here, where a tolerance-sized filter takes seconds.
+        assert time.perf_counter() - start < 0.5
+        assert value == boundary_f(pred, gt, 100) == 1.0
 
 
 class TestTemporalStabilityProxy:
