@@ -31,6 +31,7 @@ from .metrics import (
 from .rerank import (
     Proposal,
     ScoredProposal,
+    ScoredVideo,
     Track,
     VideoProposals,
     hybrid_track,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from functools import partial
 from pathlib import Path
 from statistics import fmean
 
@@ -67,11 +68,19 @@ def _read_proposals(path) -> dict[tuple[str, str], rerank.VideoProposals]:
     return videos
 
 
+def _rerank_scores(vp, args, source):
+    """``rerank.rerank_scores`` with the flags; errors name the input file."""
+    try:
+        return rerank.rerank_scores(vp, window=args.window, top_k=args.top_k)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
+
+
 def cmd_rerank(args) -> int:
     videos = _read_proposals(args.proposals)
     scored, tracks, baselines = {}, {}, {}
     for key, vp in sorted(videos.items()):
-        scored[key] = rerank.rerank_scores(vp, window=args.window, top_k=args.top_k)
+        scored[key] = _rerank_scores(vp, args, args.proposals)
         tracks[key] = rerank.select_track(scored[key], vp.video_id, vp.query_id)
         if args.raw:
             baselines[key] = rerank.raw_select(vp)
@@ -388,7 +397,7 @@ def cmd_oracle(args) -> int:
                 for frame, box in sorted(gt[key].entries.items())
             ]
             vp = rerank.VideoProposals.from_proposals(key[0], key[1], proposals)
-            scored = rerank.rerank_scores(vp, window=args.window, top_k=args.top_k)
+            scored = _rerank_scores(vp, args, args.gt_boxes)
             tracks[key] = rerank.select_track(scored, key[0], key[1])
 
     out = Path(args.out)
@@ -415,13 +424,13 @@ def _add_jobs(parser):
     )
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, minimum: int = 1) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
 
 
@@ -444,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-masks")
     p.add_argument("--gt-masks")
     p.add_argument("--attrs")
-    p.add_argument("--f-tol", type=int, default=None)
+    p.add_argument("--f-tol", type=partial(_positive_int, minimum=0), default=None)
     p.add_argument("--out")
     _add_jobs(p)
     p.set_defaults(func=cmd_eval)

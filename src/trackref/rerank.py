@@ -19,6 +19,15 @@ directions.  The cost is one block per offset; ``window`` stops the offsets
 once every pair lies beyond it.  Weights use the true frame distances, so
 sparse or huge frame ids cost nothing extra.
 
+Proposals live in one columnar table per (video, query),
+:class:`VideoProposals`, with rows kept in (frame, id) order.  The reader
+fills it, the kernel scores it into a ``new_score`` column, the selections
+are one ``np.lexsort`` each, and the writers format rows straight from the
+columns; ``Proposal`` and ``ScoredProposal`` objects are built only when a
+library caller asks for the ``frames`` view.  A source weight or a new score
+that is not finite (``1e200 * 1e200``, say) raises ValueError instead of
+reaching the output.
+
 The proposal and track readers check their lines through the shared reader
 in :mod:`trackref.jsonl`.
 """
@@ -27,11 +36,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import astuple, dataclass, field
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
-from .geometry import Box, box_iou
+from .geometry import Box
 from .jsonl import INTEGER, NAME, NUMBER, read_jsonl
 
 
@@ -62,35 +74,60 @@ class ScoredProposal:
     new_score: float
 
 
-@dataclass
 class VideoProposals:
-    """All proposals of one video for one query, grouped by frame index."""
+    """All proposals of one video for one query, one row per proposal.
 
-    video_id: str
-    query_id: str
-    frames: dict[int, list[Proposal]]
-    num_frames: int
+    Rows are kept in (frame, id) order, as columns:
 
-    def __post_init__(self):
-        if self.num_frames < 1:
+    * ``frame_ids``: the sorted distinct frames of the rows, as Python ints
+      (so distances between huge ids stay exact), and ``frame_of``, each
+      row's index into them;
+    * ``ids``: the proposal ids, a list of Python ints;
+    * ``boxes``: ``(n, 4)`` float64 ``x, y, w, h``;
+    * ``scores`` and ``objectness``: ``(n,)`` float64.
+
+    ``VideoProposals(video_id, query_id, frames, num_frames)`` builds the
+    table from ``{frame: [Proposal, ...]}`` and checks it; ``frames`` gives
+    that view back (frames without proposals have no entry), built on first
+    access.  Readers and the simulator fill the columns directly.
+    """
+
+    def __init__(self, video_id: str, query_id: str, frames: dict, num_frames: int):
+        if num_frames < 1:
             raise ValueError("a video needs at least one frame")
-        for frame, props in self.frames.items():
-            if not 1 <= frame <= self.num_frames:
+        rows = []
+        for frame, props in frames.items():
+            if not 1 <= frame <= num_frames:
                 raise ValueError(
-                    f"frame {frame} outside [1, {self.num_frames}] "
-                    f"for {self.video_id}/{self.query_id}"
+                    f"frame {frame} outside [1, {num_frames}] for {video_id}/{query_id}"
                 )
             ids = [p.proposal_id for p in props]
             if len(set(ids)) != len(ids):
                 raise ValueError(
-                    f"duplicate proposal ids in frame {frame} "
-                    f"of {self.video_id}/{self.query_id}"
+                    f"duplicate proposal ids in frame {frame} of {video_id}/{query_id}"
                 )
             for p in props:
                 if p.frame != frame:
                     raise ValueError(
                         f"proposal filed under frame {frame} carries frame {p.frame}"
                     )
+                rows.append((frame, p.proposal_id, *astuple(p.box), p.score, p.objectness))
+        rows.sort()
+        self._set(video_id, query_id, num_frames, *_columns(rows))
+
+    def _set(self, video_id, query_id, num_frames, frame_ids, frame_of, ids, boxes,
+             scores, objectness) -> None:
+        self.video_id, self.query_id, self.num_frames = video_id, query_id, num_frames
+        self.frame_ids, self.frame_of, self.ids = frame_ids, frame_of, ids
+        self.boxes, self.scores, self.objectness = boxes, scores, objectness
+
+    @classmethod
+    def from_columns(cls, *columns) -> "VideoProposals":
+        """A table from ``video_id, query_id, num_frames``, then the columns,
+        already in (frame, id) order and checked."""
+        table = cls.__new__(cls)
+        table._set(*columns)
+        return table
 
     @classmethod
     def from_proposals(
@@ -102,6 +139,82 @@ class VideoProposals:
         if num_frames is None:
             num_frames = max(frames) if frames else 1
         return cls(video_id, query_id, frames, num_frames)
+
+    @cached_property
+    def frames(self) -> dict[int, list[Proposal]]:
+        """``{frame: [Proposal, ...]}`` in (frame, id) order."""
+        frames: dict[int, list[Proposal]] = {frame: [] for frame in self.frame_ids}
+        for frame, pid, box, score, objectness in zip(
+            self.row_frames(), self.ids, self.boxes.tolist(), self.scores.tolist(),
+            self.objectness.tolist(),
+        ):
+            frames[frame].append(Proposal(frame, Box(*box), score, objectness, pid))
+        return frames
+
+    def row_frames(self) -> list[int]:
+        """Each row's frame id."""
+        return np.array(self.frame_ids, dtype=object)[self.frame_of].tolist()
+
+    def frame_starts(self) -> np.ndarray:
+        """The first row of each frame of ``frame_ids``."""
+        return np.searchsorted(self.frame_of, np.arange(len(self.frame_ids)))
+
+
+def _columns(rows: list[tuple]) -> tuple:
+    """The columns of ``(frame, id, x, y, w, h, score, objectness)`` rows in
+    (frame, id) order: ``frame_ids, frame_of, ids, boxes, scores, objectness``."""
+    frames, ids, *values = list(zip(*rows)) or [()] * 8
+    frame_ids = list(dict.fromkeys(frames))
+    index = dict(zip(frame_ids, range(len(frame_ids))))
+    values = np.array(values, dtype=float).reshape(6, -1)
+    frame_of = np.fromiter(map(index.__getitem__, frames), np.intp, len(frames))
+    return frame_ids, frame_of, list(ids), values[:4].T, values[4], values[5]
+
+
+class ScoredVideo(Mapping):
+    """The re-ranked scores of one table: ``new_score`` holds one per row.
+
+    As a mapping it is ``{frame: [ScoredProposal, ...]}`` in (frame, id)
+    order, built on first use.
+    """
+
+    def __init__(self, table: VideoProposals, new_score: np.ndarray):
+        self.table = table
+        self.new_score = new_score
+
+    @cached_property
+    def _lists(self) -> dict[int, list[ScoredProposal]]:
+        values = iter(self.new_score.tolist())
+        return {
+            frame: [ScoredProposal(p, next(values)) for p in props]
+            for frame, props in self.table.frames.items()
+        }
+
+    def __getitem__(self, frame: int) -> list[ScoredProposal]:
+        return self._lists[frame]
+
+    def __iter__(self):
+        return iter(self.table.frame_ids)
+
+    def __len__(self) -> int:
+        return len(self.table.frame_ids)
+
+
+def _as_scored(scored: Mapping) -> ScoredVideo:
+    """``scored`` as a table with a ``new_score`` column.
+
+    A plain ``{frame: [ScoredProposal, ...]}`` mapping is converted; its
+    frames are the mapping's keys.
+    """
+    if isinstance(scored, ScoredVideo):
+        return scored
+    rows = sorted(
+        (frame, sp.proposal.proposal_id, *astuple(sp.proposal.box), sp.proposal.score,
+         sp.proposal.objectness, sp.new_score)
+        for frame, candidates in scored.items() for sp in candidates
+    )
+    table = VideoProposals.from_columns("", "", 1, *_columns([row[:8] for row in rows]))
+    return ScoredVideo(table, np.array([row[8] for row in rows], dtype=float))
 
 
 @dataclass
@@ -138,60 +251,69 @@ def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _pack(vp: VideoProposals, top_k: int | None):
-    """Columnar copy of the non-empty frames, in frame and proposal-id order.
+def _best_first(vp: VideoProposals, *keys: np.ndarray) -> np.ndarray:
+    """Row indices grouped by frame, each frame's rows best first.
 
-    Returns the sorted frame ids (an object array of Python ints, so that
-    distances between huge ids stay exact), the per-frame proposals in id
-    order, ``(P, N, 4)`` corners, ``(P, N)`` raw scores and ``(P, N)`` source
-    weights (objectness x score).  Padding rows hold a unit box and weight 0;
-    with ``top_k`` the weights of all but the K best proposals of a frame (by
-    score, then objectness, then lower id) are 0 as well.
+    Rows rank by ``keys`` in turn, higher first, then by the lower proposal
+    id: the sort is stable and rows are in (frame, id) order.  A frame's
+    best row is at its ``frame_starts()`` position.
     """
-    frame_ids = sorted(f for f, props in vp.frames.items() if props)
-    rows = [sorted(vp.frames[f], key=lambda p: p.proposal_id) for f in frame_ids]
-    width = max(map(len, rows), default=0)
-    corners = np.tile([0.0, 0.0, 1.0, 1.0], (len(rows), width, 1))
-    scores = np.zeros((len(rows), width))
-    weights = np.zeros((len(rows), width))
-    for i, props in enumerate(rows):
-        n = len(props)
-        corners[i, :n] = [
-            (p.box.x, p.box.y, p.box.x + p.box.w, p.box.y + p.box.h) for p in props
-        ]
-        scores[i, :n] = [p.score for p in props]
-        weights[i, :n] = [p.objectness * p.score for p in props]
-        if top_k is not None and n > top_k:
-            ranked = sorted(range(n), key=lambda j: (-props[j].score, -props[j].objectness, j))
-            weights[i, ranked[top_k:]] = 0.0
-    return np.array(frame_ids, dtype=object), rows, corners, scores, weights
+    return np.lexsort((*(-key for key in reversed(keys)), vp.frame_of))
 
 
+def _require_finite(vp: VideoProposals, values: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        row = int(bad[0])
+        raise ValueError(
+            f"{what} is not finite in {vp.video_id}/{vp.query_id}, "
+            f"frame {vp.frame_ids[vp.frame_of[row]]}, id {vp.ids[row]}"
+        )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
 def rerank_scores(
     vp: VideoProposals,
     window: int | None = None,
     top_k: int | None = None,
-) -> dict[int, list[ScoredProposal]]:
+) -> ScoredVideo:
     """Compute the temporal-consistency score for every proposal.
 
     ``window`` limits contributing frames to a temporal distance of at most
     ``window``; ``top_k`` keeps only the K best-scoring proposals per frame as
-    contribution *sources* (every proposal still receives a score).  The
-    defaults (both off) evaluate the full double sum.
+    contribution *sources* (by score, then objectness, then lower id; every
+    proposal still receives a score).  The defaults (both off) evaluate the
+    full double sum.
 
     A single-frame video has no other frames to draw support from, so every
-    new score is zero there.
+    new score is zero there.  A source weight (objectness x score) or a new
+    score that is not finite raises ValueError naming the video and query.
     """
     if window is not None and window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
 
-    frames, rows, corners, scores, weights = _pack(vp, top_k)
+    sources = vp.objectness * vp.scores
+    _require_finite(vp, sources, "source weight objectness x score")
+    starts = vp.frame_starts()
+    slot = np.arange(len(vp.ids)) - starts[vp.frame_of]
+    if top_k is not None:
+        sources[_best_first(vp, vp.scores, vp.objectness)[slot >= top_k]] = 0.0
+
+    # One row of padded arrays per non-empty frame, one column per id rank;
+    # padding is a unit box with weight 0.
+    count = len(vp.frame_ids)
+    width = int(slot.max(initial=-1)) + 1
+    cells = (vp.frame_of, slot)
+    corners = np.tile([0.0, 0.0, 1.0, 1.0], (count, width, 1))
+    corners[cells] = np.concatenate((vp.boxes[:, :2], vp.boxes[:, :2] + vp.boxes[:, 2:]), axis=1)
+    weights = np.zeros((count, width))
+    weights[cells] = sources
+    frames = np.array(vp.frame_ids, dtype=object)
     limit = np.inf if window is None else window
-    count, width = scores.shape
     block_rows = max(1, _BLOCK_ENTRIES // max(1, width * width))
-    support = np.zeros_like(scores)
+    support = np.zeros((count, width))
     # Offset k pairs frame row i with row i + k.  IoU is symmetric, so each
     # block feeds both directions.  Distances only grow with k, so the loop
     # ends at the first offset whose pairs all lie beyond the window.
@@ -207,52 +329,35 @@ def rerank_scores(
             overlaps = _iou_matrix(corners[i], corners[j])
             support[i] += np.einsum("rpq,rq->rp", overlaps, weights[j] / distance)
             support[j] += np.einsum("rpq,rp->rq", overlaps, weights[i] / distance)
-    new_scores = scores * support
-
-    result: dict[int, list[ScoredProposal]] = {}
-    for f, props, values in zip(frames.tolist(), rows, new_scores):
-        by_id = {p.proposal_id: float(s) for p, s in zip(props, values)}
-        result[f] = [ScoredProposal(p, by_id[p.proposal_id]) for p in vp.frames[f]]
-    return result
+    new_score = vp.scores * support[cells]
+    _require_finite(vp, new_score, "re-ranked score")
+    return ScoredVideo(vp, new_score)
 
 
-def select_track(
-    scored: dict[int, list[ScoredProposal]], video_id: str = "", query_id: str = ""
-) -> Track:
+def _track(video_id: str, query_id: str, frames, boxes: np.ndarray) -> Track:
+    return Track(video_id, query_id, {
+        frame: Box(*box) for frame, box in zip(frames, boxes.tolist())
+    })
+
+
+def select_track(scored: Mapping, video_id: str = "", query_id: str = "") -> Track:
     """Per frame, the box of the maximum new score.
 
     Ties break on higher raw score, then higher objectness, then lower
-    proposal id, so the output is deterministic.
+    proposal id, so the output is deterministic.  ``scored`` is what
+    :func:`rerank_scores` returns or any ``{frame: [ScoredProposal, ...]}``
+    mapping.
     """
-    entries: dict[int, Box] = {}
-    for frame, candidates in scored.items():
-        if not candidates:
-            continue
-        best = max(
-            candidates,
-            key=lambda sp: (
-                sp.new_score,
-                sp.proposal.score,
-                sp.proposal.objectness,
-                -sp.proposal.proposal_id,
-            ),
-        )
-        entries[frame] = best.proposal.box
-    return Track(video_id, query_id, entries)
+    scored = _as_scored(scored)
+    vp = scored.table
+    best = _best_first(vp, scored.new_score, vp.scores, vp.objectness)[vp.frame_starts()]
+    return _track(video_id, query_id, vp.frame_ids, vp.boxes[best])
 
 
 def raw_select(vp: VideoProposals) -> Track:
     """Baseline selection: per-frame argmax of the raw matching score."""
-    entries: dict[int, Box] = {}
-    for frame, candidates in vp.frames.items():
-        if not candidates:
-            continue
-        best = max(
-            candidates,
-            key=lambda p: (p.score, p.objectness, -p.proposal_id),
-        )
-        entries[frame] = best.box
-    return Track(vp.video_id, vp.query_id, entries)
+    best = _best_first(vp, vp.scores, vp.objectness)[vp.frame_starts()]
+    return _track(vp.video_id, vp.query_id, vp.frame_ids, vp.boxes[best])
 
 
 def oracle_assign(vp: VideoProposals, gt_boxes: dict[int, Box | None]) -> Track:
@@ -261,16 +366,17 @@ def oracle_assign(vp: VideoProposals, gt_boxes: dict[int, Box | None]) -> Track:
     Frames without a ground-truth box or without proposals get no entry.
     Ties (including all-zero overlap) go to the lowest proposal id.
     """
-    entries: dict[int, Box] = {}
-    for frame, gt in gt_boxes.items():
-        if gt is None:
-            continue
-        candidates = vp.frames.get(frame, [])
-        if not candidates:
-            continue
-        best = max(candidates, key=lambda p: (box_iou(p.box, gt), -p.proposal_id))
-        entries[frame] = best.box
-    return Track(vp.video_id, vp.query_id, entries)
+    truth = [gt_boxes.get(frame) for frame in vp.frame_ids]
+    known = [box is not None for box in truth]
+    gt = np.array([astuple(box) if box else (0.0, 0.0, 1.0, 1.0) for box in truth])
+    # geometry.box_iou's arithmetic, for every row at once.
+    (x, y, w, h), (gx, gy, gw, gh) = vp.boxes.T, gt.reshape(-1, 4)[vp.frame_of].T
+    ix = np.minimum(x + w, gx + gw) - np.maximum(x, gx)
+    iy = np.minimum(y + h, gy + gh) - np.maximum(y, gy)
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    overlap = np.where((ix <= 0) | (iy <= 0), 0.0, inter / (w * h + gw * gh - inter))
+    best = _best_first(vp, overlap)[vp.frame_starts()[known]]
+    return _track(vp.video_id, vp.query_id, compress(vp.frame_ids, known), vp.boxes[best])
 
 
 def hybrid_track(gt_first: Box, reranked: Track) -> Track:
@@ -299,24 +405,34 @@ def read_proposals(path) -> tuple[dict[tuple[str, str], VideoProposals], set[str
     :func:`trackref.jsonl.read_jsonl`, so malformed lines raise ValueError
     naming ``path:line``.
     """
-    frames: dict[tuple[str, str, int], dict[int, Proposal]] = {}
+    groups: dict[tuple[str, str], tuple[list, set]] = {}
+    inf = math.inf
 
     def add(video, query, frame, x, y, w, h, score, objectness, proposal_id):
-        by_id = frames.setdefault((video, query, frame), {})
-        if proposal_id in by_id:
+        group = groups.get((video, query))
+        if group is None:
+            group = groups[(video, query)] = ([], set())
+        rows, seen = group
+        key = (frame, proposal_id)
+        if key in seen:
             raise ValueError(
                 f"duplicate proposal id {proposal_id} in frame {frame} of {video}/{query}"
             )
-        by_id[proposal_id] = Proposal(frame, Box(x, y, w, h), score, objectness, proposal_id)
+        seen.add(key)
+        if not (
+            frame >= 1 and -inf < x < inf and -inf < y < inf and 0 < w < inf
+            and 0 < h < inf and 0 <= score < inf and 0 <= objectness < inf
+        ):  # the classes' own checks raise the error for the first bad field
+            Proposal(frame, Box(x, y, w, h), score, objectness, proposal_id)
+        rows.append((frame, proposal_id, x, y, w, h, score, objectness))
 
     unknown = read_jsonl(path, _PROPOSAL_FIELDS, add)
-    grouped: dict[tuple[str, str], list[Proposal]] = {}
-    for (video, query, _), by_id in frames.items():
-        grouped.setdefault((video, query), []).extend(by_id.values())
-    videos = {
-        key: VideoProposals.from_proposals(key[0], key[1], props)
-        for key, props in sorted(grouped.items())
-    }
+    videos = {}
+    for (video, query), (rows, _) in sorted(groups.items()):
+        rows.sort()
+        videos[(video, query)] = VideoProposals.from_columns(
+            video, query, rows[-1][0], *_columns(rows)
+        )
     return videos, unknown
 
 
@@ -337,10 +453,14 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
+def _literal(text: str) -> str:
+    """``text`` JSON-encoded, with its braces doubled for ``str.format``."""
+    return json.dumps(text).replace("{", "{{").replace("}", "}}")
+
+
 def _row_template(*fields: str) -> str:
     """``str.format`` template of one JSONL row with these keys, in order."""
-    keys = (json.dumps(name).replace("{", "{{").replace("}", "}}") for name in fields)
-    return "{{" + ", ".join(f"{key}: {{}}" for key in keys) + "}}\n"
+    return "{{" + ", ".join(f"{key}: {{}}" for key in map(_literal, fields)) + "}}\n"
 
 
 _PLAIN_TYPES = frozenset((float, int))
@@ -349,6 +469,8 @@ _PLAIN_TYPES = frozenset((float, int))
 def _format_row(template: str, video: str, query: str, values) -> str:
     """One row, byte for byte what ``json.dumps(record) + "\n"`` writes.
 
+    Track rows go through here, since a library caller's ``Box`` may hold
+    ints or numpy scalars; table rows are plain finite floats and ints.
     ``video`` and ``query`` come already encoded (once per pair, not per row).
     A row of finite plain floats and ints, the usual case, is formatted in
     one call: ``str.format`` writes a float or an int as its ``repr``.
@@ -374,18 +496,25 @@ _SCORE_ROW = _row_template(
 _TRACK_ROW = _row_template("video", "query", "frame", "x", "y", "w", "h")
 
 
+def _write_rows(handle, template: str, video: str, query: str, vp: VideoProposals, *extra):
+    """Write every row of ``vp``, then the ``extra`` columns, as JSONL rows.
+
+    Table values are plain floats and ints, and finite, so ``str.format``
+    writes each as its ``repr``, which is what ``json.dumps`` writes.
+    """
+    head, between, rest = template.split("{}", 2)
+    row = (head + _literal(video) + between + _literal(query) + rest).format
+    x, y, w, h = vp.boxes.T.tolist()
+    handle.writelines(map(
+        row, vp.row_frames(), x, y, w, h, vp.scores.tolist(), vp.objectness.tolist(), vp.ids,
+        *(column.tolist() for column in extra),
+    ))
+
+
 def write_proposals(path, videos: dict[tuple[str, str], VideoProposals]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for (video, query) in sorted(videos):
-            vp = videos[(video, query)]
-            head = (json.dumps(video), json.dumps(query))
-            for frame in sorted(vp.frames):
-                for p in sorted(vp.frames[frame], key=lambda p: p.proposal_id):
-                    box = p.box
-                    handle.write(_format_row(_PROPOSAL_ROW, *head, (
-                        frame, box.x, box.y, box.w, box.h,
-                        p.score, p.objectness, p.proposal_id,
-                    )))
+            _write_rows(handle, _PROPOSAL_ROW, video, query, videos[(video, query)])
 
 
 def read_tracks(path) -> dict[tuple[str, str], Track]:
@@ -418,17 +547,9 @@ def write_tracks(path, tracks: dict[tuple[str, str], Track]) -> None:
                 ))
 
 
-def write_scores(path, scored_by_key: dict[tuple[str, str], dict[int, list[ScoredProposal]]]) -> None:
+def write_scores(path, scored_by_key: dict[tuple[str, str], Mapping]) -> None:
     """Dump every proposal with its re-ranked score."""
     with open(path, "w", encoding="utf-8") as handle:
         for (video, query) in sorted(scored_by_key):
-            scored = scored_by_key[(video, query)]
-            head = (json.dumps(video), json.dumps(query))
-            for frame in sorted(scored):
-                for sp in sorted(scored[frame], key=lambda sp: sp.proposal.proposal_id):
-                    p = sp.proposal
-                    box = p.box
-                    handle.write(_format_row(_SCORE_ROW, *head, (
-                        frame, box.x, box.y, box.w, box.h,
-                        p.score, p.objectness, p.proposal_id, sp.new_score,
-                    )))
+            scored = _as_scored(scored_by_key[(video, query)])
+            _write_rows(handle, _SCORE_ROW, video, query, scored.table, scored.new_score)

@@ -17,7 +17,7 @@ stack (RGB + flow magnitude + box interior).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .geometry import (
     rasterize_box,
     warp_mask,
 )
-from .rerank import Proposal, VideoProposals
+from .rerank import VideoProposals
 from .rng import SplitRng, box_muller, scale_unit
 
 TARGET_BASE_SCORE = 0.8
@@ -215,6 +215,11 @@ def jitter_box(
     image.  Draws producing a side of one pixel or less are retried a bounded
     number of times, after which the box is forced to the minimum size.
     """
+    return Box(*_jittered(box, fraction, rng, image_width, image_height, max_retries))
+
+
+def _jittered(box, fraction, rng, image_width, image_height, max_retries=10):
+    """:func:`jitter_box`'s ``(x, y, w, h)``."""
     if fraction < 0:
         raise ValueError("jitter fraction must be >= 0")
     for _ in range(max_retries):
@@ -225,10 +230,10 @@ def jitter_box(
         x0, x1 = max(x0, 0.0), min(x1, image_width)
         y0, y1 = max(y0, 0.0), min(y1, image_height)
         if x1 - x0 > 1.0 and y1 - y0 > 1.0:
-            return Box(x0, y0, x1 - x0, y1 - y0)
+            return x0, y0, x1 - x0, y1 - y0
     x0 = min(max(box.x, 0.0), max(image_width - 1.0, 0.0))
     y0 = min(max(box.y, 0.0), max(image_height - 1.0, 0.0))
-    return Box(x0, y0, min(1.0, image_width - x0), min(1.0, image_height - y0))
+    return x0, y0, min(1.0, image_width - x0), min(1.0, image_height - y0)
 
 
 def synth_flow(
@@ -324,14 +329,18 @@ def _clamp01(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _distractor_box(units, width: int, height: int) -> Box:
-    """A random box from four units: width, height, left edge, top edge."""
-    uw, uh, ux, uy = units
-    w = max(scale_unit(uw, 0.1, 0.5) * width, 1.0)
-    h = max(scale_unit(uh, 0.1, 0.5) * height, 1.0)
-    x = scale_unit(ux, 0.0, max(width - w, 0.0))
-    y = scale_unit(uy, 0.0, max(height - h, 0.0))
-    return Box(x, y, w, h)
+def _distractor_boxes(units: np.ndarray, width: int, height: int) -> np.ndarray:
+    """``(n, 4)`` random boxes from ``(n, 4)`` units: width, height, left edge, top edge.
+
+    Float64 numpy arithmetic rounds as Python's does, so each box equals the
+    one drawn from the same units one at a time.
+    """
+    uw, uh, ux, uy = units.T
+    w = np.maximum(scale_unit(uw, 0.1, 0.5) * width, 1.0)
+    h = np.maximum(scale_unit(uh, 0.1, 0.5) * height, 1.0)
+    x = scale_unit(ux, 0.0, np.maximum(width - w, 0.0))
+    y = scale_unit(uy, 0.0, np.maximum(height - h, 0.0))
+    return np.stack([x, y, w, h], axis=1)
 
 
 def generate_proposals(
@@ -353,52 +362,59 @@ def generate_proposals(
     if rng is None:
         rng = SplitRng(corruption.seed)
     noise_sd = corruption.score_noise_sd
-    distractor_ids = range(1, corruption.distractors_per_frame + 1)
+    count = corruption.distractors_per_frame
+    distractor_ids = range(1, count + 1)
     out: dict[str, VideoProposals] = {}
     for obj_index in sorted(gt.boxes):
         # Path folding is sequential, so the shared prefixes are folded once:
         # child("object", i, "frame").child(f) is child("object", i, "frame", f).
         frames_rng = rng.child("object", obj_index, "frame")
-        frames: dict[int, list[Proposal]] = {}
+        frames: list[int] = []
+        sizes: list[int] = []
+        ids: list[int] = []
+        scores: list[float] = []
+        targets: list[tuple] = []
+        units = []
         for frame in range(1, gt.num_frames + 1):
             frame_rng = frames_rng.child(frame)
-            proposals: list[Proposal] = []
+            first = len(scores)
             true_box = gt.boxes[obj_index].get(frame)
             if true_box is not None:
-                jittered = jitter_box(
+                targets.append(_jittered(
                     true_box, corruption.box_jitter_fraction,
                     frame_rng.child("jitter"), gt.width, gt.height,
-                )
-                noise = frame_rng.child("target-score").normal(0.0, noise_sd)
-                proposals.append(Proposal(
-                    frame=frame, box=jittered,
-                    score=_clamp01(TARGET_BASE_SCORE + noise),
-                    objectness=PROPOSAL_OBJECTNESS, proposal_id=0,
                 ))
+                noise = frame_rng.child("target-score").normal(0.0, noise_sd)
+                scores.append(_clamp01(TARGET_BASE_SCORE + noise))
+                ids.append(0)
             # Distractor d reads draws 1-2 (score noise) and 3-6 (box) of
             # frame_rng.child("distractor", d); one batch holds them all.
-            units = frame_rng.child("distractor").child_units(distractor_ids, 6)
-            for d, (u1, u2, *box_units) in zip(distractor_ids, units.tolist()):
-                noise = box_muller(u1, u2, 0.0, noise_sd)
-                proposals.append(Proposal(
-                    frame=frame, box=_distractor_box(box_units, gt.width, gt.height),
-                    score=_clamp01(DISTRACTOR_BASE_SCORE + noise),
-                    objectness=PROPOSAL_OBJECTNESS, proposal_id=d,
-                ))
+            block = frame_rng.child("distractor").child_units(distractor_ids, 6)
+            units.append(block[:, 2:])
+            scores.extend(
+                _clamp01(DISTRACTOR_BASE_SCORE + box_muller(u1, u2, 0.0, noise_sd))
+                for u1, u2 in block[:, :2].tolist()
+            )
+            ids.extend(distractor_ids)
             if (
                 true_box is not None
-                and corruption.distractors_per_frame > 0
+                and count > 0
                 and frame_rng.child("switch").unit() < corruption.id_switch_prob
             ):
-                victim = frame_rng.child("victim").randint(
-                    1, corruption.distractors_per_frame
-                )
-                target, other = proposals[0], proposals[victim]
-                proposals[0] = replace(target, score=other.score)
-                proposals[victim] = replace(other, score=target.score)
-            if proposals:
-                frames[frame] = proposals
-        out[str(obj_index)] = VideoProposals(
-            video_id, str(obj_index), frames, gt.num_frames
+                victim = first + frame_rng.child("victim").randint(1, count)
+                scores[first], scores[victim] = scores[victim], scores[first]
+            if len(scores) > first:
+                frames.append(frame)
+                sizes.append(len(scores) - first)
+        is_target = np.array(ids) == 0
+        boxes = np.empty((len(ids), 4))
+        boxes[is_target] = np.reshape(targets, (-1, 4))
+        boxes[~is_target] = _distractor_boxes(
+            np.concatenate(units), gt.width, gt.height
+        )
+        out[str(obj_index)] = VideoProposals.from_columns(
+            video_id, str(obj_index), gt.num_frames, frames,
+            np.repeat(np.arange(len(frames)), sizes), ids, boxes, np.array(scores),
+            np.full(len(ids), PROPOSAL_OBJECTNESS),
         )
     return out

@@ -133,6 +133,22 @@ class TestRerankCommand:
             1: Box(20, 0, 10, 10), 2: Box(20, 0, 10, 10),
         }
 
+    @pytest.mark.parametrize("first, second, message", [
+        # objectness x score overflows to infinity
+        ({}, {"score": 1e200, "objectness": 1e200},
+         "source weight objectness x score is not finite in vid/q, frame 2, id 0"),
+        # finite weights, but score x support overflows
+        ({"score": 1e200, "objectness": 0.5}, {"score": 1e200, "objectness": 0.5},
+         "re-ranked score is not finite in vid/q, frame 1, id 0"),
+    ])
+    def test_non_finite_new_score_is_a_data_error(self, tmp_path, capsys, first, second, message):
+        path = tmp_path / "proposals.jsonl"
+        write_jsonl(path, [dict(TOY_PROPOSALS[0], **first), dict(TOY_PROPOSALS[2], **second)])
+        out = tmp_path / "out"
+        assert main(["rerank", "--proposals", str(path), "--out", str(out), "--raw"]) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_perfect_boxes(self, tmp_path):
@@ -556,6 +572,16 @@ class TestOracleAndPipeline:
         ]) == 0
         assert read_report(report_out)["aggregate"]["track_miou"] == 1.0
 
+    def test_oracle_boxes_non_finite_new_score_is_a_data_error(self, tmp_path, capsys):
+        # x + w overflows, so the IoU of the two boxes is NaN.
+        gt = tmp_path / "gt.jsonl"
+        box = Box(1e308, 0, 1e308, 10)
+        write_tracks(gt, {("v", "1"): Track("v", "1", {1: box, 2: box})})
+        out = tmp_path / "out"
+        assert main(["oracle", "--oracle", "boxes", "--gt-boxes", str(gt), "--out", str(out)]) == 2
+        assert f"error: {gt}: re-ranked score is not finite in v/1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_grounding_assigns_best_overlap(self, tmp_path):
         proposals = tmp_path / "proposals.jsonl"
         write_jsonl(proposals, TOY_PROPOSALS)
@@ -690,6 +716,19 @@ class TestUsageErrors:
             "oracle", "--oracle", "boxes", "--gt-boxes", str(gt), "--out", str(out), flag, value,
         ]) == 1
         assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_rejects_negative_f_tolerance(self, tmp_path, capsys):
+        mask = rasterize_box(Box(2, 2, 5, 4), 12, 10)
+        write_mask_tree(tmp_path / "gt", ("v", "1"), [1], mask)
+        out = tmp_path / "report"
+        assert main([
+            "eval", "--pred-masks", str(tmp_path / "gt"), "--gt-masks", str(tmp_path / "gt"),
+            "--f-tol", "-1", "--out", str(out),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "usage error: argument --f-tol: must be >= 0, got -1" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("module", ["trackref", "trackref.cli"])
