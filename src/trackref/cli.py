@@ -132,7 +132,12 @@ def _eval_boxes(args):
     reports = {}
     for key in sorted(gt):
         track = pred.get(key, rerank.Track(key[0], key[1]))
-        series = metrics.track_iou_series(track, gt[key].entries)
+        try:
+            series = metrics.track_iou_series(track, gt[key].entries)
+        except ValueError as exc:
+            raise ValueError(
+                f"{args.pred_tracks} vs {args.gt_boxes}: {key[0]}/{key[1]}: {exc}"
+            ) from exc
         reports[key] = {
             "track_miou": round4(fmean(series)),
             "auc": round4(metrics.auc_success(series)),
@@ -243,9 +248,6 @@ def cmd_simulate(args) -> int:
     corruption = simulate.parse_corruption_spec(
         Path(args.corrupt).read_text(encoding="utf-8"), args.corrupt
     )
-    if args.scenes < 1:
-        return _usage_error("--scenes must be >= 1")
-
     gt = simulate.generate_scene(scene_spec)
 
     scene_proposals = []
@@ -462,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True)
     p.add_argument("--corrupt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--scenes", type=int, default=1)
+    p.add_argument("--scenes", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mask-format", choices=("rle", "pbm"), default="rle")
     _add_jobs(p)

@@ -77,7 +77,9 @@ def track_iou_series(pred: Track, gt_boxes: Mapping[int, Box | None]) -> list[fl
     """Per-frame overlap of a track against ground-truth boxes.
 
     Frames with a ground-truth box define the evaluation set; a missing
-    prediction on such a frame contributes 0.
+    prediction on such a frame contributes 0.  An overlap that is not finite
+    (boxes near the float range overflow it) raises ValueError naming the
+    frame.
     """
     frames = sorted(f for f, box in gt_boxes.items() if box is not None)
     if not frames:
@@ -86,6 +88,8 @@ def track_iou_series(pred: Track, gt_boxes: Mapping[int, Box | None]) -> list[fl
     for frame in frames:
         predicted = pred.box_at(frame)
         series.append(0.0 if predicted is None else box_iou(predicted, gt_boxes[frame]))
+        if not math.isfinite(series[-1]):
+            raise ValueError(f"box IoU at frame {frame} is not finite: {series[-1]}")
     return series
 
 

@@ -20,13 +20,14 @@ once every pair lies beyond it.  Weights use the true frame distances, so
 sparse or huge frame ids cost nothing extra.
 
 Proposals live in one columnar table per (video, query),
-:class:`VideoProposals`, with rows kept in (frame, id) order.  The reader
-fills it, the kernel scores it into a ``new_score`` column, the selections
-are one ``np.lexsort`` each, and the writers format rows straight from the
-columns; ``Proposal`` and ``ScoredProposal`` objects are built only when a
-library caller asks for the ``frames`` view.  A source weight or a new score
-that is not finite (``1e200 * 1e200``, say) raises ValueError instead of
-reaching the output.
+:class:`VideoProposals`, with rows kept in (frame, id) order: one
+constructor takes its columns, and one builder, ``from_proposals``, checks
+library input.  The kernel scores it into a ``new_score`` column, the
+selections are one ``np.lexsort`` each, and one row writer formats
+proposals, scores and tracks.  Two library views, ``VideoProposals.frames``
+and the ``ScoredVideo`` mapping, build ``Proposal``/``ScoredProposal``
+objects.  A source weight or a new score that is not finite
+(``1e200 * 1e200``, say) raises ValueError instead of reaching the output.
 
 The proposal and track readers check their lines through the shared reader
 in :mod:`trackref.jsonl`.
@@ -86,59 +87,30 @@ class VideoProposals:
     * ``boxes``: ``(n, 4)`` float64 ``x, y, w, h``;
     * ``scores`` and ``objectness``: ``(n,)`` float64.
 
-    ``VideoProposals(video_id, query_id, frames, num_frames)`` builds the
-    table from ``{frame: [Proposal, ...]}`` and checks it; ``frames`` gives
-    that view back (frames without proposals have no entry), built on first
-    access.  Readers and the simulator fill the columns directly.
+    The constructor takes the columns as they are; the reader and the
+    simulator build them already in order and checked.  Library callers use
+    :meth:`from_proposals`, and ``frames`` gives ``{frame: [Proposal, ...]}``
+    back, built on first access.
     """
 
-    def __init__(self, video_id: str, query_id: str, frames: dict, num_frames: int):
-        if num_frames < 1:
-            raise ValueError("a video needs at least one frame")
-        rows = []
-        for frame, props in frames.items():
-            if not 1 <= frame <= num_frames:
-                raise ValueError(
-                    f"frame {frame} outside [1, {num_frames}] for {video_id}/{query_id}"
-                )
-            ids = [p.proposal_id for p in props]
-            if len(set(ids)) != len(ids):
-                raise ValueError(
-                    f"duplicate proposal ids in frame {frame} of {video_id}/{query_id}"
-                )
-            for p in props:
-                if p.frame != frame:
-                    raise ValueError(
-                        f"proposal filed under frame {frame} carries frame {p.frame}"
-                    )
-                rows.append((frame, p.proposal_id, *astuple(p.box), p.score, p.objectness))
-        rows.sort()
-        self._set(video_id, query_id, num_frames, *_columns(rows))
-
-    def _set(self, video_id, query_id, num_frames, frame_ids, frame_of, ids, boxes,
-             scores, objectness) -> None:
-        self.video_id, self.query_id, self.num_frames = video_id, query_id, num_frames
+    def __init__(self, video_id, query_id, frame_ids, frame_of, ids, boxes, scores, objectness):
+        self.video_id, self.query_id = video_id, query_id
         self.frame_ids, self.frame_of, self.ids = frame_ids, frame_of, ids
         self.boxes, self.scores, self.objectness = boxes, scores, objectness
 
     @classmethod
-    def from_columns(cls, *columns) -> "VideoProposals":
-        """A table from ``video_id, query_id, num_frames``, then the columns,
-        already in (frame, id) order and checked."""
-        table = cls.__new__(cls)
-        table._set(*columns)
-        return table
-
-    @classmethod
-    def from_proposals(
-        cls, video_id: str, query_id: str, proposals, num_frames: int | None = None
-    ) -> "VideoProposals":
-        frames: dict[int, list[Proposal]] = {}
-        for p in proposals:
-            frames.setdefault(p.frame, []).append(p)
-        if num_frames is None:
-            num_frames = max(frames) if frames else 1
-        return cls(video_id, query_id, frames, num_frames)
+    def from_proposals(cls, video_id: str, query_id: str, proposals) -> "VideoProposals":
+        """The table of ``Proposal`` objects in any order; a repeated (frame, id) raises."""
+        rows = sorted(
+            (p.frame, p.proposal_id, p.box.x, p.box.y, p.box.w, p.box.h, p.score, p.objectness)
+            for p in proposals
+        )
+        for previous, row in zip(rows, rows[1:]):
+            if previous[:2] == row[:2]:
+                raise ValueError(
+                    f"duplicate proposal id {row[1]} in frame {row[0]} of {video_id}/{query_id}"
+                )
+        return cls(video_id, query_id, *_columns(rows))
 
     @cached_property
     def frames(self) -> dict[int, list[Proposal]]:
@@ -198,23 +170,6 @@ class ScoredVideo(Mapping):
 
     def __len__(self) -> int:
         return len(self.table.frame_ids)
-
-
-def _as_scored(scored: Mapping) -> ScoredVideo:
-    """``scored`` as a table with a ``new_score`` column.
-
-    A plain ``{frame: [ScoredProposal, ...]}`` mapping is converted; its
-    frames are the mapping's keys.
-    """
-    if isinstance(scored, ScoredVideo):
-        return scored
-    rows = sorted(
-        (frame, sp.proposal.proposal_id, *astuple(sp.proposal.box), sp.proposal.score,
-         sp.proposal.objectness, sp.new_score)
-        for frame, candidates in scored.items() for sp in candidates
-    )
-    table = VideoProposals.from_columns("", "", 1, *_columns([row[:8] for row in rows]))
-    return ScoredVideo(table, np.array([row[8] for row in rows], dtype=float))
 
 
 @dataclass
@@ -340,15 +295,13 @@ def _track(video_id: str, query_id: str, frames, boxes: np.ndarray) -> Track:
     })
 
 
-def select_track(scored: Mapping, video_id: str = "", query_id: str = "") -> Track:
+def select_track(scored: ScoredVideo, video_id: str = "", query_id: str = "") -> Track:
     """Per frame, the box of the maximum new score.
 
     Ties break on higher raw score, then higher objectness, then lower
     proposal id, so the output is deterministic.  ``scored`` is what
-    :func:`rerank_scores` returns or any ``{frame: [ScoredProposal, ...]}``
-    mapping.
+    :func:`rerank_scores` returns.
     """
-    scored = _as_scored(scored)
     vp = scored.table
     best = _best_first(vp, scored.new_score, vp.scores, vp.objectness)[vp.frame_starts()]
     return _track(video_id, query_id, vp.frame_ids, vp.boxes[best])
@@ -421,36 +374,18 @@ def read_proposals(path) -> tuple[dict[tuple[str, str], VideoProposals], set[str
         seen.add(key)
         if not (
             frame >= 1 and -inf < x < inf and -inf < y < inf and 0 < w < inf
-            and 0 < h < inf and 0 <= score < inf and 0 <= objectness < inf
+            and 0 < h < inf and 0 <= score < inf and 0 <= objectness < inf and 0 < w * h
         ):  # the classes' own checks raise the error for the first bad field
             Proposal(frame, Box(x, y, w, h), score, objectness, proposal_id)
+            raise ValueError(f"box area w * h is 0, got w={w}, h={h}")
         rows.append((frame, proposal_id, x, y, w, h, score, objectness))
 
     unknown = read_jsonl(path, _PROPOSAL_FIELDS, add)
     videos = {}
     for (video, query), (rows, _) in sorted(groups.items()):
         rows.sort()
-        videos[(video, query)] = VideoProposals.from_columns(
-            video, query, rows[-1][0], *_columns(rows)
-        )
+        videos[(video, query)] = VideoProposals(video, query, *_columns(rows))
     return videos, unknown
-
-
-def _json_scalar(value) -> str:
-    """What ``json.dumps`` writes for one field value.
-
-    Floats go through ``float.__repr__`` (``repr`` of a ``np.float64`` names
-    its type), non-finite ones as json's ``NaN``/``Infinity``; ints through
-    ``int.__repr__``.  Anything else, bools and strings included, goes to
-    ``json.dumps`` itself.
-    """
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
-    return json.dumps(value)
 
 
 def _literal(text: str) -> str:
@@ -463,30 +398,6 @@ def _row_template(*fields: str) -> str:
     return "{{" + ", ".join(f"{key}: {{}}" for key in map(_literal, fields)) + "}}\n"
 
 
-_PLAIN_TYPES = frozenset((float, int))
-
-
-def _format_row(template: str, video: str, query: str, values) -> str:
-    """One row, byte for byte what ``json.dumps(record) + "\n"`` writes.
-
-    Track rows go through here, since a library caller's ``Box`` may hold
-    ints or numpy scalars; table rows are plain finite floats and ints.
-    ``video`` and ``query`` come already encoded (once per pair, not per row).
-    A row of finite plain floats and ints, the usual case, is formatted in
-    one call: ``str.format`` writes a float or an int as its ``repr``.
-    """
-    if _PLAIN_TYPES.issuperset(map(type, values)):
-        try:
-            # Any NaN or infinity makes the sum non-finite; so may an
-            # overflowing sum, which only costs the slower path below.
-            plain = math.isfinite(sum(values))
-        except OverflowError:  # an int beyond the float range
-            plain = False
-        if plain:
-            return template.format(video, query, *values)
-    return template.format(video, query, *map(_json_scalar, values))
-
-
 _PROPOSAL_ROW = _row_template(
     "video", "query", "frame", "x", "y", "w", "h", "score", "objectness", "id"
 )
@@ -496,25 +407,30 @@ _SCORE_ROW = _row_template(
 _TRACK_ROW = _row_template("video", "query", "frame", "x", "y", "w", "h")
 
 
-def _write_rows(handle, template: str, video: str, query: str, vp: VideoProposals, *extra):
-    """Write every row of ``vp``, then the ``extra`` columns, as JSONL rows.
+def _write_rows(handle, template: str, video: str, query: str, *columns) -> None:
+    """Write one JSONL row per position of ``columns``, the values after video and query.
 
-    Table values are plain floats and ints, and finite, so ``str.format``
-    writes each as its ``repr``, which is what ``json.dumps`` writes.
+    Values are plain finite floats and ints, so ``str.format`` writes each
+    as its ``repr``, which is what ``json.dumps`` writes.
     """
     head, between, rest = template.split("{}", 2)
     row = (head + _literal(video) + between + _literal(query) + rest).format
+    handle.writelines(map(row, *columns))
+
+
+def _table_columns(vp: VideoProposals, *extra: np.ndarray) -> tuple:
+    """The columns of ``vp`` as lists of plain values, then the ``extra`` ones."""
     x, y, w, h = vp.boxes.T.tolist()
-    handle.writelines(map(
-        row, vp.row_frames(), x, y, w, h, vp.scores.tolist(), vp.objectness.tolist(), vp.ids,
+    return (
+        vp.row_frames(), x, y, w, h, vp.scores.tolist(), vp.objectness.tolist(), vp.ids,
         *(column.tolist() for column in extra),
-    ))
+    )
 
 
 def write_proposals(path, videos: dict[tuple[str, str], VideoProposals]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for (video, query) in sorted(videos):
-            _write_rows(handle, _PROPOSAL_ROW, video, query, videos[(video, query)])
+        for key in sorted(videos):
+            _write_rows(handle, _PROPOSAL_ROW, *key, *_table_columns(videos[key]))
 
 
 def read_tracks(path) -> dict[tuple[str, str], Track]:
@@ -525,6 +441,8 @@ def read_tracks(path) -> dict[tuple[str, str], Track]:
         if frame < 1:
             raise ValueError(f"frame index must be >= 1, got {frame}")
         box = Box(x, y, w, h)
+        if not 0 < w * h:
+            raise ValueError(f"box area w * h is 0, got w={w}, h={h}")
         key = (video, query)
         track = tracks.setdefault(key, Track(video, query))
         if frame in track.entries:
@@ -536,20 +454,19 @@ def read_tracks(path) -> dict[tuple[str, str], Track]:
 
 
 def write_tracks(path, tracks: dict[tuple[str, str], Track]) -> None:
+    """Write every track's entries in frame order; box fields as floats."""
     with open(path, "w", encoding="utf-8") as handle:
         for key in sorted(tracks):
             track = tracks[key]
-            head = (json.dumps(track.video_id), json.dumps(track.query_id))
-            for frame in sorted(track.entries):
-                box = track.entries[frame]
-                handle.write(_format_row(
-                    _TRACK_ROW, *head, (frame, box.x, box.y, box.w, box.h)
-                ))
+            frames = sorted(track.entries)
+            boxes = [track.entries[frame] for frame in frames]
+            _write_rows(handle, _TRACK_ROW, track.video_id, track.query_id, frames,
+                        *([float(getattr(box, side)) for box in boxes] for side in "xywh"))
 
 
-def write_scores(path, scored_by_key: dict[tuple[str, str], Mapping]) -> None:
+def write_scores(path, scored_by_key: dict[tuple[str, str], ScoredVideo]) -> None:
     """Dump every proposal with its re-ranked score."""
     with open(path, "w", encoding="utf-8") as handle:
-        for (video, query) in sorted(scored_by_key):
-            scored = _as_scored(scored_by_key[(video, query)])
-            _write_rows(handle, _SCORE_ROW, video, query, scored.table, scored.new_score)
+        for key in sorted(scored_by_key):
+            scored = scored_by_key[key]
+            _write_rows(handle, _SCORE_ROW, *key, *_table_columns(scored.table, scored.new_score))

@@ -412,8 +412,8 @@ def generate_proposals(
         boxes[~is_target] = _distractor_boxes(
             np.concatenate(units), gt.width, gt.height
         )
-        out[str(obj_index)] = VideoProposals.from_columns(
-            video_id, str(obj_index), gt.num_frames, frames,
+        out[str(obj_index)] = VideoProposals(
+            video_id, str(obj_index), frames,
             np.repeat(np.arange(len(frames)), sizes), ids, boxes, np.array(scores),
             np.full(len(ids), PROPOSAL_OBJECTNESS),
         )

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from trackref.cli import main
 from trackref.geometry import Box
-from trackref.rerank import _format_row, _row_template
+from trackref.rerank import Track, write_tracks
 from trackref.rng import SplitRng, box_muller, mix64, mix64_array
 from trackref.simulate import CorruptionSpec, generate_proposals, generate_scene, parse_scene_spec
 
@@ -120,48 +120,50 @@ def test_generated_distractors_match_scalar_streams(seed, count, sd):
 # Row formatting
 # ---------------------------------------------------------------------------
 
-field_value = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
-    st.integers(-(1 << 100), 1 << 100),
-    st.booleans(),
-    st.none(),
-    st.text(max_size=8),
+# Box fields as a library caller may give them: floats, ints and numpy
+# floats, from 5e-324 up to 1e308; frames up to beyond int64.
+coordinate = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(-(1 << 60), 1 << 60),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308]),
 )
-# Rows of plain floats and ints only, as the writers usually see them.
-plain_value = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True), st.integers(-(1 << 1100), 1 << 1100)
+side = st.one_of(
+    st.floats(min_value=5e-324, allow_infinity=False),
+    st.integers(1, 1 << 60),
+    st.sampled_from([5e-324, 1e308]),
 )
-field_name = st.text(max_size=6)
+name = st.one_of(
+    st.text(max_size=8), st.sampled_from(['{}', '{0}', '}{', 'a"b\\', 'é\U0001f600'])
+)
+tracks = st.builds(
+    Track, name, name,
+    st.dictionaries(
+        st.one_of(st.integers(1, 1 << 20), st.just(2**70)),
+        st.builds(Box, coordinate, coordinate, side, side),
+        max_size=5,
+    ),
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    video=st.text(max_size=8),
-    query=st.text(max_size=8),
-    fields=st.one_of(
-        st.lists(st.tuples(field_name, field_value), max_size=12, unique_by=lambda f: f[0]),
-        st.lists(st.tuples(field_name, plain_value), max_size=12, unique_by=lambda f: f[0]),
-    ),
-)
-@example(video="v", query="q", fields=[("x", 1.5e308), ("y", 1.5e308), ("id", 3)])
-@example(video="v", query="q", fields=[("x", 0.1), ("id", 1 << 1030)])
-@example(video="v", query="q", fields=[("x", float("inf")), ("y", -float("inf"))])
-@example(
-    video='sc"ene\\\né\U0001f600', query="\x00",
-    fields=[
-        ("x", float("nan")), ("y", float("inf")), ("w", -float("inf")), ("h", -0.0),
-        ("score", np.float64(0.1)), ("objectness", np.float64("nan")), ("id", 1 << 70),
-        ("frame", True), ("new_score", 5e-324),
-    ],
-)
-def test_format_row_matches_json_dumps(video, query, fields):
-    names = [name for name, _ in fields if name not in ("video", "query")]
-    values = [value for name, value in fields if name not in ("video", "query")]
-    template = _row_template("video", "query", *names)
-    row = _format_row(template, json.dumps(video), json.dumps(query), values)
-    record = {"video": video, "query": query, **dict(zip(names, values))}
-    assert row == json.dumps(record) + "\n"
+@given(st.lists(tracks, max_size=3))
+@example([Track('sc"ene{0}', "}{", {
+    2**70: Box(-0.0, 5e-324, 1e308, 5e-324), 1: Box(20, np.float64(0.1), 10, 1 << 60),
+})])
+def test_write_tracks_matches_json_dumps(tmp_path_factory, tracks):
+    by_key = {(track.video_id, track.query_id): track for track in tracks}
+    path = tmp_path_factory.mktemp("tracks") / "tracks.jsonl"
+    write_tracks(path, by_key)
+    expected = "".join(
+        json.dumps({
+            "video": track.video_id, "query": track.query_id, "frame": frame,
+            "x": float(box.x), "y": float(box.y), "w": float(box.w), "h": float(box.h),
+        }) + "\n"
+        for track in map(by_key.get, sorted(by_key))
+        for frame, box in sorted(track.entries.items())
+    )
+    assert path.read_text(encoding="utf-8") == expected
 
 
 # ---------------------------------------------------------------------------

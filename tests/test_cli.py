@@ -408,6 +408,7 @@ class TestRecordErrors:
     @pytest.mark.parametrize("bad", [
         {"x": None}, {"x": 10**400}, {"frame": "two"}, {"frame": 0}, {"frame": 1.9},
         {"frame": True},
+        {"w": 1e-200, "h": 1e-200},  # positive sides, but w * h underflows to 0
     ])
     def test_bad_track_field(self, tmp_path, capsys, bad):
         gt = tmp_path / "gt.jsonl"
@@ -418,6 +419,35 @@ class TestRecordErrors:
         ])
         assert code == 2
         assert f"{gt}:2:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_area_proposal_box(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        write_jsonl(path, [
+            {**TOY_PROPOSALS[0], "w": 1e-200, "h": 1e-200},
+            {**TOY_PROPOSALS[2], "w": 1e-200, "h": 1e-200},
+        ])
+        out = tmp_path / "out"
+        assert main(["rerank", "--proposals", str(path), "--out", str(out)]) == 2
+        assert f"error: {path}:1: box area w * h is 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_box_iou(self, tmp_path, capsys):
+        # x + w overflows, so the IoU of the box with itself is NaN.
+        pred = tmp_path / "pred.jsonl"
+        write_jsonl(pred, [{**self.GOOD_TRACK, "x": 1e308, "w": 1e308}])
+        gt = tmp_path / "gt.jsonl"
+        gt.write_bytes(pred.read_bytes())
+        out = tmp_path / "report"
+        code = main([
+            "eval", "--pred-tracks", str(pred), "--gt-boxes", str(gt), "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"error: {pred} vs {gt}: v/1: box IoU at frame 3 is not finite: nan\n"
+        )
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("frame", [1.9, True, "2"])
@@ -729,6 +759,17 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert "usage error: argument --f-tol: must be >= 0, got -1" in captured.err
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_simulate_rejects_non_positive_scenes_before_reading(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert main([
+            "simulate", "--scene", str(tmp_path / "missing.txt"),
+            "--corrupt", str(tmp_path / "missing.txt"), "--out", str(out), "--scenes", value,
+        ]) == 1
+        message = f"usage error: argument --scenes: must be >= 1, got {value}"
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("module", ["trackref", "trackref.cli"])

@@ -18,7 +18,6 @@ from trackref.cli import main
 from trackref.geometry import Box, box_iou
 from trackref.rerank import (
     Proposal,
-    ScoredProposal,
     ScoredVideo,
     Track,
     VideoProposals,
@@ -187,34 +186,18 @@ _ids = st.one_of(st.integers(0, 5), st.sampled_from([2**63, HUGE]))
 @st.composite
 def tied_videos(draw):
     """Videos with empty frames, sparse and huge frame ids and proposal ids."""
-    frames = {}
-    for frame in draw(st.sets(_frames, min_size=1, max_size=5)):
-        frames[frame] = [
-            Proposal(frame, draw(_boxes), draw(_tied), draw(_tied), pid)
-            for pid in draw(st.lists(_ids, unique=True, max_size=5))
-        ]
-    return VideoProposals("v", "q", frames, max(frames))
-
-
-@st.composite
-def scored_mappings(draw):
-    """Plain ``{frame: [ScoredProposal, ...]}`` mappings in any row order."""
-    mapping = {}
-    for frame in draw(st.sets(_frames, max_size=4)):
-        mapping[frame] = [
-            ScoredProposal(
-                Proposal(frame, draw(_boxes), draw(_tied), draw(_tied), pid), draw(_tied)
-            )
-            for pid in draw(st.lists(_ids, unique=True, max_size=5))
-        ]
-    return mapping
+    return VideoProposals.from_proposals("v", "q", [
+        Proposal(frame, draw(_boxes), draw(_tied), draw(_tied), pid)
+        for frame in draw(st.sets(_frames, min_size=1, max_size=5))
+        for pid in draw(st.lists(_ids, unique=True, max_size=5))
+    ])
 
 
 # Every key ties in both frames: the lower id wins, 5 before 2**63.
-ALL_TIED = VideoProposals("v", "q", {
-    frame: [Proposal(frame, Box(0, 0, 10, 10), 0.5, 0.5, pid) for pid in (2**63, 5)]
-    for frame in (1, 10**9)
-}, 10**9)
+ALL_TIED = VideoProposals.from_proposals("v", "q", [
+    Proposal(frame, Box(0, 0, 10, 10), 0.5, 0.5, pid)
+    for frame in (1, 10**9) for pid in (2**63, 5)
+])
 
 
 @settings(max_examples=200, deadline=None)
@@ -223,13 +206,6 @@ ALL_TIED = VideoProposals("v", "q", {
 def test_select_track_equals_max(vp, window, top_k):
     scored = rerank_scores(vp, window=window, top_k=top_k)
     assert select_track(scored, "v", "q") == select_track_by_max(scored, "v", "q")
-
-
-@settings(max_examples=200, deadline=None)
-@given(scored_mappings())
-@example({1: [], 3: []})
-def test_select_track_on_plain_mappings_equals_max(mapping):
-    assert select_track(mapping, "v", "q") == select_track_by_max(mapping, "v", "q")
 
 
 @settings(max_examples=200, deadline=None)

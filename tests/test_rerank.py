@@ -83,18 +83,18 @@ def sparse_videos(draw):
     frame_ids = draw(st.sets(
         st.one_of(st.integers(1, 30), st.integers(1, 10**9)), min_size=1, max_size=7,
     ))
-    frames = {}
+    proposals = []
     for frame in frame_ids:
         ids = draw(st.lists(st.integers(0, 40), unique=True, max_size=6))
-        frames[frame] = [
+        proposals.extend(
             Proposal(
                 frame,
                 Box(draw(_coordinate), draw(_coordinate), draw(_side), draw(_side)),
                 draw(_unit), draw(_unit), pid,
             )
             for pid in ids
-        ]
-    return VideoProposals("v", "q", frames, max(frame_ids))
+        )
+    return VideoProposals.from_proposals("v", "q", proposals)
 
 
 def random_instance(rng, max_frames=10, max_per_frame=8):
@@ -109,7 +109,7 @@ def random_instance(rng, max_frames=10, max_per_frame=8):
             proposals.append(
                 Proposal(frame, box, rng.unit(), rng.unit(), pid)
             )
-    return VideoProposals.from_proposals("v", "q", proposals, num_frames)
+    return VideoProposals.from_proposals("v", "q", proposals)
 
 
 class TestRerankScores:
@@ -181,7 +181,9 @@ class TestRerankScores:
                 key=lambda i: rng.child("order", frame, i).unit(),
             )
             shuffled_frames[frame] = [proposals[i] for i in order]
-        shuffled = VideoProposals(vp.video_id, vp.query_id, shuffled_frames, vp.num_frames)
+        shuffled = VideoProposals.from_proposals(
+            vp.video_id, vp.query_id, [p for props in shuffled_frames.values() for p in props]
+        )
         base = {
             (f, sp.proposal.proposal_id): sp.new_score
             for f, sps in rerank_scores(vp).items() for sp in sps
@@ -196,7 +198,7 @@ class TestRerankScores:
         rng = SplitRng(13, "window")
         vp = random_instance(rng)
         unbounded = rerank_scores(vp)
-        windowed = rerank_scores(vp, window=vp.num_frames - 1)
+        windowed = rerank_scores(vp, window=max(vp.frame_ids) - 1)
         for frame in unbounded:
             for sp, wsp in zip(unbounded[frame], windowed[frame]):
                 assert sp.new_score == wsp.new_score
@@ -204,7 +206,7 @@ class TestRerankScores:
     def test_window_matches_brute_force(self):
         rng = SplitRng(21, "window-small")
         vp = random_instance(rng)
-        if vp.num_frames < 3:
+        if max(vp.frame_ids) < 3:
             vp = random_instance(rng.child("retry"), max_frames=10)
         scored = rerank_scores(vp, window=2)
         oracle = brute_force_scores(vp, window=2)
@@ -284,7 +286,7 @@ class TestSelection:
         assert track.entries[1] == Box(10, 0, 5, 5)
 
     def test_empty_frames_have_no_entry(self):
-        track = select_track({1: [], 3: []}, "v", "q")
+        track = select_track(rerank_scores(VideoProposals.from_proposals("v", "q", [])), "v", "q")
         assert track.entries == {}
         assert track.box_at(1) is None
 
@@ -343,10 +345,6 @@ class TestHybridTrack:
 
 
 class TestValidation:
-    def test_frame_out_of_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            VideoProposals("v", "q", {5: [Proposal(5, Box(0, 0, 1, 1), 0, 0, 0)]}, 3)
-
     def test_duplicate_ids_within_frame(self):
         with pytest.raises(ValueError, match="duplicate"):
             VideoProposals.from_proposals("v", "q", [

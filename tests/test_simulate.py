@@ -302,7 +302,7 @@ class TestGenerateProposals:
         assert set(proposals) == {"1", "2"}
         for query, vp in proposals.items():
             assert vp.query_id == query
-            assert vp.num_frames == 4
+            assert vp.frame_ids == [1, 2, 3, 4]
 
     def test_switched_scores_swap_target_and_distractor(self):
         gt = generate_scene(_static_scene(num_frames=3))
