@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -81,7 +82,7 @@ def cmd_rerank(args) -> int:
     scored, tracks, baselines = {}, {}, {}
     for key, vp in sorted(videos.items()):
         scored[key] = _rerank_scores(vp, args, args.proposals)
-        tracks[key] = rerank.select_track(scored[key], vp.video_id, vp.query_id)
+        tracks[key] = rerank.select_track(scored[key])
         if args.raw:
             baselines[key] = rerank.raw_select(vp)
 
@@ -160,9 +161,14 @@ def _eval_masks(args):
                 f"predicted mask tree {args.pred_masks} has no masks for "
                 f"{key[0]}/{key[1]} frames {absent} (from {args.gt_masks})"
             )
-        report = metrics.evaluate_masks(
-            {f: pred_frames[f] for f in gt_frames}, gt_frames, tolerance=args.f_tol
-        )
+        try:
+            report = metrics.evaluate_masks(
+                {f: pred_frames[f] for f in gt_frames}, gt_frames, tolerance=args.f_tol
+            )
+        except ValueError as exc:
+            raise ValueError(
+                f"{args.pred_masks} vs {args.gt_masks}: {key[0]}/{key[1]}: {exc}"
+            ) from exc
         reports[key] = {name: round4(getattr(report, name)) for name in _MASK_METRICS}
     return reports
 
@@ -241,34 +247,32 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _read_spec(parse, path):
+    """``parse(text, path)`` of the spec file; a file that is not UTF-8 is named."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return parse(text, path)
+
+
 def cmd_simulate(args) -> int:
-    scene_spec = simulate.parse_scene_spec(
-        Path(args.scene).read_text(encoding="utf-8"), args.scene
-    )
-    corruption = simulate.parse_corruption_spec(
-        Path(args.corrupt).read_text(encoding="utf-8"), args.corrupt
-    )
+    scene_spec = _read_spec(simulate.parse_scene_spec, args.scene)
+    corruption = _read_spec(simulate.parse_corruption_spec, args.corrupt)
     gt = simulate.generate_scene(scene_spec)
-
-    scene_proposals = []
-    for index in range(args.scenes):
-        video = f"scene_{index:03d}"
-        rng = SplitRng(corruption.seed, "sweep", args.seed, index)
-        scene_proposals.append(
-            (video, simulate.generate_proposals(gt, corruption, video, rng))
-        )
-
+    # Every scene shares the ground truth: one read-only entry dict per query.
+    gt_entries = {
+        str(query): {frame: box for frame, box in boxes.items() if box is not None}
+        for query, boxes in gt.boxes.items()
+    }
+    videos = [f"scene_{index:03d}" for index in range(args.scenes)]
     all_tracks: dict[tuple[str, str], rerank.Track] = {}
     all_proposals: dict[tuple[str, str], rerank.VideoProposals] = {}
-    for video, proposals in scene_proposals:
-        for query, vp in proposals.items():
+    for index, video in enumerate(videos):
+        rng = SplitRng(corruption.seed, "sweep", args.seed, index)
+        for query, vp in simulate.generate_proposals(gt, corruption, video, rng).items():
             all_proposals[(video, query)] = vp
-            entries = {
-                frame: box
-                for frame, box in gt.boxes[int(query)].items()
-                if box is not None
-            }
-            all_tracks[(video, query)] = rerank.Track(video, query, entries)
+            all_tracks[(video, query)] = rerank.Track(video, query, gt_entries[query])
 
     out = Path(args.out)
     _ensure_dir(out)
@@ -280,7 +284,7 @@ def cmd_simulate(args) -> int:
     rerank.write_proposals(proposals_path, all_proposals)
     written.append(proposals_path)
     extension = ".pbm" if args.mask_format == "pbm" else ".rle"
-    for video, _ in scene_proposals:
+    for video in videos:
         for query in sorted(gt.masks):
             mask_dir = out / "masks" / video / str(query)
             _ensure_dir(mask_dir)
@@ -304,8 +308,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_jitter(args) -> int:
     tracks = rerank.read_tracks(args.gt_boxes)
-    if args.fraction < 0:
-        return _usage_error("--fraction must be >= 0")
     root = SplitRng(args.seed, "jitter")
     jittered: dict[tuple[str, str], rerank.Track] = {}
     for key in sorted(tracks):
@@ -328,22 +330,12 @@ def cmd_jitter(args) -> int:
 # stats
 # ---------------------------------------------------------------------------
 
-def _load_lexicons(directory) -> expressions.Lexicons:
-    if directory is None:
-        return expressions.bundled_lexicons()
-    root = Path(directory)
-    return expressions.Lexicons(
-        spatial_words=expressions.load_word_list(root / "spatial_words.txt"),
-        verb_words=expressions.load_word_list(root / "verb_words.txt"),
-    )
-
-
 def cmd_stats(args) -> int:
     corpus_path = args.corpus
     if corpus_path is None:
         corpus_path = str(expressions.bundled_sample_corpus_path())
     records = expressions.read_corpus(corpus_path)
-    lexicons = _load_lexicons(args.lexicons)
+    lexicons = expressions.load_lexicons(args.lexicons)
     stats = expressions.corpus_stats(records, lexicons)
     objects_per_video = expressions.num_objects_by_video(records)
     tagged = [
@@ -400,7 +392,7 @@ def cmd_oracle(args) -> int:
             ]
             vp = rerank.VideoProposals.from_proposals(key[0], key[1], proposals)
             scored = _rerank_scores(vp, args, args.gt_boxes)
-            tracks[key] = rerank.select_track(scored, key[0], key[1])
+            tracks[key] = rerank.select_track(scored)
 
     out = Path(args.out)
     _ensure_dir(out)
@@ -433,6 +425,18 @@ def _positive_int(text: str, minimum: int = 1) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < minimum:
         raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _finite_float(text: str, positive: bool = False) -> float:
+    """A finite float that is >= 0, or > 0 when ``positive``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = ">" if positive else ">="
+        raise argparse.ArgumentTypeError(f"must be finite and {bound} 0, got {value}")
     return value
 
 
@@ -472,9 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("jitter", help="randomly perturb box edges within a fraction")
     p.add_argument("--gt-boxes", required=True)
-    p.add_argument("--fraction", type=float, required=True)
-    p.add_argument("--width", type=float, required=True)
-    p.add_argument("--height", type=float, required=True)
+    p.add_argument("--fraction", type=_finite_float, required=True)
+    p.add_argument("--width", type=partial(_finite_float, positive=True), required=True)
+    p.add_argument("--height", type=partial(_finite_float, positive=True), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_jitter)

@@ -1,10 +1,13 @@
 """Referring-expression corpora: parsing, tagging, and summary statistics.
 
 Expressions are tagged with fixed word lists rather than a grammatical
-tagger, keeping the flags deterministic and auditable.  Token counts use the
-package tokenizer (lowercase, split on non-alphanumeric runs), and length
-bins are short (< 4 tokens), medium (4-6) and long (> 6).  Corpus and
-attribute files are read through the shared reader in :mod:`trackref.jsonl`.
+tagger, keeping the flags deterministic and auditable.  The bundled lists and
+a ``--lexicons`` directory are read by one function, :func:`load_lexicons`:
+one word per line, ``#`` comments and blank lines skipped, words lowercased.
+Token counts use the package tokenizer (lowercase, split on non-alphanumeric
+runs), and length bins are short (< 4 tokens), medium (4-6) and long (> 6).
+Corpus and attribute files are read through the shared reader in
+:mod:`trackref.jsonl`.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 from statistics import fmean
 
 from .jsonl import FLAG, FLAG_OR_NULL, NAME, read_jsonl
@@ -71,21 +75,34 @@ def tokenize(text: str) -> list[str]:
 
 
 def load_word_list(path) -> frozenset[str]:
-    """One word per line; blank lines and # comments ignored."""
+    """One word per line, lowercased; blank lines and # comments ignored."""
     words = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            word = line.split("#", 1)[0].strip().lower()
-            if word:
-                words.add(word)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line in handle:
+                word = line.split("#", 1)[0].strip().lower()
+                if word:
+                    words.add(word)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return frozenset(words)
 
 
-def bundled_lexicons() -> Lexicons:
-    data = resources.files("trackref") / "data"
-    spatial = frozenset((data / "spatial_words.txt").read_text("utf-8").split())
-    verbs = frozenset((data / "verb_words.txt").read_text("utf-8").split())
-    return Lexicons(spatial_words=spatial, verb_words=verbs)
+def load_lexicons(directory=None) -> Lexicons:
+    """``spatial_words.txt`` and ``verb_words.txt`` from ``directory``, or the
+    bundled lists in ``trackref/data`` when it is None.
+
+    Both go through :func:`load_word_list`; a list with no words raises
+    ValueError naming its file.
+    """
+    root = resources.files("trackref") / "data" if directory is None else Path(directory)
+    words = {}
+    for name in ("spatial_words", "verb_words"):
+        path = root / f"{name}.txt"
+        words[name] = load_word_list(path)
+        if not words[name]:
+            raise ValueError(f"{path}: {name} lexicon is empty")
+    return Lexicons(**words)
 
 
 def bundled_sample_corpus_path():

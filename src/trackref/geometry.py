@@ -62,9 +62,6 @@ class AffineTransform:
     def determinant(self) -> float:
         return self.a * self.d - self.b * self.c
 
-    def apply(self, x: float, y: float) -> tuple[float, float]:
-        return (self.a * x + self.b * y + self.tx, self.c * x + self.d * y + self.ty)
-
     def compose(self, inner: "AffineTransform") -> "AffineTransform":
         """Transform equal to applying ``inner`` first, then this one."""
         return AffineTransform(
@@ -408,26 +405,6 @@ def pbm_loads(text: str) -> Mask:
     return flat.reshape(height, width)
 
 
-def write_rle_stream(path, masks) -> None:
-    """Write many masks to one text file, one RLE line per mask."""
-    with open(path, "w", encoding="ascii") as handle:
-        for mask in masks:
-            handle.write(rle_line_dumps(rle_encode(mask)) + "\n")
-
-
-def read_rle_stream(path) -> list[Mask]:
-    masks = []
-    with open(path, "r", encoding="ascii") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                masks.append(rle_decode(rle_line_loads(line)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{number}: {exc}") from exc
-    return masks
-
-
 def write_mask(path, mask: Mask) -> None:
     """Write a mask file; format chosen by extension (.pbm or .rle)."""
     path = str(path)
@@ -442,14 +419,13 @@ def write_mask(path, mask: Mask) -> None:
 
 
 def read_mask(path) -> Mask:
+    """Read a mask file by extension; a malformed file raises ValueError naming it."""
     path = str(path)
-    with open(path, "r", encoding="ascii") as handle:
-        text = handle.read()
-    if path.endswith(".pbm"):
-        return pbm_loads(text)
-    if path.endswith(".rle"):
-        stripped = text.strip()
-        if not stripped:
-            raise ValueError(f"empty RLE mask file: {path}")
-        return rle_decode(rle_line_loads(stripped))
-    raise ValueError(f"unsupported mask file extension: {path}")
+    if not path.endswith((".pbm", ".rle")):
+        raise ValueError(f"unsupported mask file extension: {path}")
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            text = handle.read()
+        return pbm_loads(text) if path.endswith(".pbm") else rle_decode(rle_line_loads(text))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -97,11 +97,6 @@ def track_miou(pred: Track, gt_boxes: Mapping[int, Box | None]) -> float:
     return fmean(track_iou_series(pred, gt_boxes))
 
 
-def _quartile_bins(n: int) -> list[int]:
-    base, remainder = divmod(n, 4)
-    return [base + (1 if i < remainder else 0) for i in range(4)]
-
-
 def series_stats(values: Sequence[float]) -> SeriesStats:
     if len(values) == 0:
         raise ValueError("cannot summarize an empty series")
@@ -110,14 +105,10 @@ def series_stats(values: Sequence[float]) -> SeriesStats:
         raise ValueError("series values must lie in [0, 1]")
     mean_value = fmean(values)
     recall = sum(1 for v in values if v > 0.5) / len(values)
-    sizes = _quartile_bins(len(values))
-    bins: list[list[float]] = []
-    start = 0
-    for size in sizes:
-        bins.append(values[start:start + size])
-        start += size
-    first = bins[0]
-    last = next(b for b in reversed(bins) if b)  # series < 4 frames leave empty bins
+    # Of the four bins only the first and the last non-empty one are read:
+    # the first holds ceil(n / 4) values, the last non-empty max(n // 4, 1).
+    first = values[:-(-len(values) // 4)]
+    last = values[-max(len(values) // 4, 1):]
     # statistics.mean is exact over rationals, so constant series decay to 0.0
     decay = float(mean(first) - mean(last))
     return SeriesStats(mean_value, recall, decay)
@@ -261,6 +252,11 @@ def evaluate_masks(
     if not pred:
         raise ValueError("no frames to evaluate")
     frames = sorted(pred)
+    for f in frames:
+        if pred[f].shape != gt[f].shape:
+            raise ValueError(
+                f"mask dimensions differ at frame {f}: {pred[f].shape} vs {gt[f].shape}"
+            )
     j_series = [mask_iou(pred[f], gt[f]) for f in frames]
     f_series = [boundary_f(pred[f], gt[f], tolerance) for f in frames]
     j_stats = series_stats(j_series)

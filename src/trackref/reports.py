@@ -18,8 +18,6 @@ def round4(value: float) -> float:
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.4f}"
     return str(value)

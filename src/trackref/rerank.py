@@ -23,7 +23,8 @@ Proposals live in one columnar table per (video, query),
 :class:`VideoProposals`, with rows kept in (frame, id) order: one
 constructor takes its columns, and one builder, ``from_proposals``, checks
 library input.  The kernel scores it into a ``new_score`` column, the
-selections are one ``np.lexsort`` each, and one row writer formats
+selections are one ``np.lexsort`` each, and every selected track takes its
+video and query ids from the table it selects from.  One row writer formats
 proposals, scores and tracks.  Two library views, ``VideoProposals.frames``
 and the ``ScoredVideo`` mapping, build ``Proposal``/``ScoredProposal``
 objects.  A source weight or a new score that is not finite
@@ -289,28 +290,30 @@ def rerank_scores(
     return ScoredVideo(vp, new_score)
 
 
-def _track(video_id: str, query_id: str, frames, boxes: np.ndarray) -> Track:
-    return Track(video_id, query_id, {
-        frame: Box(*box) for frame, box in zip(frames, boxes.tolist())
+def _track(vp: VideoProposals, frames, rows: np.ndarray) -> Track:
+    """The track of ``vp``'s video and query: the box of ``rows[i]`` at ``frames[i]``."""
+    return Track(vp.video_id, vp.query_id, {
+        frame: Box(*box) for frame, box in zip(frames, vp.boxes[rows].tolist())
     })
 
 
-def select_track(scored: ScoredVideo, video_id: str = "", query_id: str = "") -> Track:
+def select_track(scored: ScoredVideo) -> Track:
     """Per frame, the box of the maximum new score.
 
     Ties break on higher raw score, then higher objectness, then lower
     proposal id, so the output is deterministic.  ``scored`` is what
-    :func:`rerank_scores` returns.
+    :func:`rerank_scores` returns; the track takes its video and query ids
+    from ``scored.table``.
     """
     vp = scored.table
     best = _best_first(vp, scored.new_score, vp.scores, vp.objectness)[vp.frame_starts()]
-    return _track(video_id, query_id, vp.frame_ids, vp.boxes[best])
+    return _track(vp, vp.frame_ids, best)
 
 
 def raw_select(vp: VideoProposals) -> Track:
     """Baseline selection: per-frame argmax of the raw matching score."""
     best = _best_first(vp, vp.scores, vp.objectness)[vp.frame_starts()]
-    return _track(vp.video_id, vp.query_id, vp.frame_ids, vp.boxes[best])
+    return _track(vp, vp.frame_ids, best)
 
 
 def oracle_assign(vp: VideoProposals, gt_boxes: dict[int, Box | None]) -> Track:
@@ -329,7 +332,7 @@ def oracle_assign(vp: VideoProposals, gt_boxes: dict[int, Box | None]) -> Track:
     inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
     overlap = np.where((ix <= 0) | (iy <= 0), 0.0, inter / (w * h + gw * gh - inter))
     best = _best_first(vp, overlap)[vp.frame_starts()[known]]
-    return _track(vp.video_id, vp.query_id, compress(vp.frame_ids, known), vp.boxes[best])
+    return _track(vp, compress(vp.frame_ids, known), best)
 
 
 def hybrid_track(gt_first: Box, reranked: Track) -> Track:

@@ -17,6 +17,8 @@ stack (RGB + flow magnitude + box interior).
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,12 +77,12 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.distractors_per_frame < 0:
             raise ValueError("distractors_per_frame must be >= 0")
-        if self.score_noise_sd < 0:
-            raise ValueError("score_noise_sd must be >= 0")
+        if not 0 <= self.score_noise_sd < math.inf:
+            raise ValueError("score_noise_sd must be finite and >= 0")
         if not 0.0 <= self.id_switch_prob <= 1.0:
             raise ValueError("id_switch_prob must be within [0, 1]")
-        if self.box_jitter_fraction < 0:
-            raise ValueError("box_jitter_fraction must be >= 0")
+        if not 0 <= self.box_jitter_fraction < math.inf:
+            raise ValueError("box_jitter_fraction must be finite and >= 0")
 
 
 @dataclass
@@ -98,8 +100,18 @@ class SceneGroundTruth:
 # Spec files: flat "key = value" lines with # comments
 # ---------------------------------------------------------------------------
 
-def _parse_kv(text: str, path: str = "<spec>") -> dict[str, str]:
-    entries: dict[str, str] = {}
+@contextmanager
+def _located(where: str):
+    """Prefix a ValueError raised inside the block with ``where``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _parse_kv(text: str, path: str = "<spec>") -> dict[str, tuple[int, str]]:
+    """``{key: (line number, value)}`` of the ``key = value`` lines."""
+    entries: dict[str, tuple[int, str]] = {}
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -111,15 +123,24 @@ def _parse_kv(text: str, path: str = "<spec>") -> dict[str, str]:
             raise ValueError(f"{path}:{number}: empty key")
         if key in entries:
             raise ValueError(f"{path}:{number}: duplicate key {key!r}")
-        entries[key] = value
+        entries[key] = (number, value)
     return entries
+
+
+def _convert(kind, value: str, key: str):
+    """``kind(value)`` for ``kind`` int or float; a bad value names the key."""
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"key {key!r} expects {noun}, got {value!r}") from None
 
 
 def _parse_floats(value: str, count: int, key: str) -> list[float]:
     parts = value.split()
     if len(parts) != count:
         raise ValueError(f"key {key!r} expects {count} numbers, got {len(parts)}")
-    return [float(p) for p in parts]
+    return [_convert(float, p, key) for p in parts]
 
 
 def _parse_affine(value: str, key: str) -> AffineTransform:
@@ -134,65 +155,73 @@ def parse_scene_spec(text: str, path: str = "<scene spec>") -> SceneSpec:
     (six affine coefficients ``a b tx c d ty``), and per object
     ``object<k>.box`` (``x y w h``) / ``object<k>.motion`` (affine), with k
     counting from 1.  Random draws are keyed by the corruption spec's seed
-    and ``--seed``, so a scene spec has no ``seed`` key.
+    and ``--seed``, so a scene spec has no ``seed`` key.  Every error starts
+    with ``path``, and an error about one key with ``path:line``.
     """
-    entries = _parse_kv(text, path)
     scalars = {"width": 1, "height": 1, "num_frames": 1}
     boxes: dict[int, Box] = {}
-    motions: dict[int, AffineTransform] = {}
-    background = AffineTransform.identity()
-    for key, value in entries.items():
-        if key in scalars:
-            scalars[key] = int(value)
-        elif key == "background":
-            background = _parse_affine(value, key)
-        elif key.startswith("object") and "." in key:
-            head, _, field = key.partition(".")
-            try:
-                index = int(head[len("object"):])
-            except ValueError:
-                raise ValueError(f"unknown scene spec key: {key!r}") from None
-            if field == "box":
-                x, y, w, h = _parse_floats(value, 4, key)
-                boxes[index] = Box(x, y, w, h)
-            elif field == "motion":
-                motions[index] = _parse_affine(value, key)
+    motions: dict[int, tuple[int, AffineTransform]] = {}
+    background = identity = AffineTransform.identity()
+    for key, (number, value) in _parse_kv(text, path).items():
+        with _located(f"{path}:{number}"):
+            if key in scalars:
+                scalars[key] = _convert(int, value, key)
+                if scalars[key] < 1:
+                    raise ValueError(f"key {key!r} must be >= 1, got {scalars[key]}")
+            elif key == "background":
+                background = _parse_affine(value, key)
+            elif key.startswith("object") and "." in key:
+                head, _, field = key.partition(".")
+                try:
+                    index = int(head[len("object"):])
+                except ValueError:
+                    raise ValueError(f"unknown scene spec key: {key!r}") from None
+                if field == "box":
+                    boxes[index] = Box(*_parse_floats(value, 4, key))
+                elif field == "motion":
+                    motions[index] = (number, _parse_affine(value, key))
+                else:
+                    raise ValueError(f"unknown scene spec key: {key!r}")
             else:
                 raise ValueError(f"unknown scene spec key: {key!r}")
-        else:
-            raise ValueError(f"unknown scene spec key: {key!r}")
-    if not boxes:
-        raise ValueError("scene spec defines no objects")
-    indices = sorted(boxes)
-    if indices != list(range(1, len(indices) + 1)):
-        raise ValueError(f"object indices must be contiguous from 1, got {indices}")
-    objects = []
-    for index in indices:
-        motion = motions.pop(index, AffineTransform.identity())
-        objects.append(ObjectSpec(boxes[index], motion))
-    if motions:
-        raise ValueError(f"motion given for undefined objects: {sorted(motions)}")
-    return SceneSpec(
-        width=scalars["width"], height=scalars["height"],
-        num_frames=scalars["num_frames"], objects=tuple(objects),
-        background=background,
-    )
+    for index, (number, _) in sorted(motions.items()):
+        if index not in boxes:
+            raise ValueError(f"{path}:{number}: motion given for undefined object {index}")
+    with _located(path):
+        if not boxes:
+            raise ValueError("scene spec defines no objects")
+        indices = sorted(boxes)
+        if indices != list(range(1, len(indices) + 1)):
+            raise ValueError(f"object indices must be contiguous from 1, got {indices}")
+        return SceneSpec(
+            width=scalars["width"], height=scalars["height"], num_frames=scalars["num_frames"],
+            objects=tuple(
+                ObjectSpec(boxes[i], motions[i][1] if i in motions else identity) for i in indices
+            ),
+            background=background,
+        )
+
+
+_CORRUPTION_KEYS = {
+    "distractors_per_frame": int,
+    "score_noise_sd": float,
+    "id_switch_prob": float,
+    "box_jitter_fraction": float,
+    "seed": int,
+}
 
 
 def parse_corruption_spec(text: str, path: str = "<corruption spec>") -> CorruptionSpec:
-    entries = _parse_kv(text, path)
-    known = {
-        "distractors_per_frame": int,
-        "score_noise_sd": float,
-        "id_switch_prob": float,
-        "box_jitter_fraction": float,
-        "seed": int,
-    }
+    """Parse a corruption spec file; every error starts with ``path:line``."""
     kwargs = {}
-    for key, value in entries.items():
-        if key not in known:
-            raise ValueError(f"unknown corruption spec key: {key!r}")
-        kwargs[key] = known[key](value)
+    for key, (number, value) in _parse_kv(text, path).items():
+        with _located(f"{path}:{number}"):
+            if key not in _CORRUPTION_KEYS:
+                raise ValueError(f"unknown corruption spec key: {key!r}")
+            kwargs[key] = _convert(_CORRUPTION_KEYS[key], value, key)
+            # Each field's check is independent of the others, so it runs
+            # here, with the others at their defaults, and names this line.
+            CorruptionSpec(**{key: kwargs[key]})
     return CorruptionSpec(**kwargs)
 
 
@@ -200,29 +229,28 @@ def parse_corruption_spec(text: str, path: str = "<corruption spec>") -> Corrupt
 # Data-preparation operations
 # ---------------------------------------------------------------------------
 
+JITTER_RETRIES = 10  # draws tried before jitter_box forces the minimum-size box
+
+
 def jitter_box(
-    box: Box,
-    fraction: float,
-    rng: SplitRng,
-    image_width: float,
-    image_height: float,
-    max_retries: int = 10,
+    box: Box, fraction: float, rng: SplitRng, image_width: float, image_height: float
 ) -> Box:
     """Randomly perturb each box edge within +-fraction of the box side.
 
     The two x-edges move independently by at most ``fraction * w`` and the
     two y-edges by at most ``fraction * h``; the result is clamped into the
-    image.  Draws producing a side of one pixel or less are retried a bounded
-    number of times, after which the box is forced to the minimum size.
+    image.  Draws producing a side of one pixel or less are retried up to
+    ``JITTER_RETRIES`` times, after which the box is forced to the minimum
+    size.  ``fraction`` must be finite and >= 0.
     """
-    return Box(*_jittered(box, fraction, rng, image_width, image_height, max_retries))
+    return Box(*_jittered(box, fraction, rng, image_width, image_height))
 
 
-def _jittered(box, fraction, rng, image_width, image_height, max_retries=10):
+def _jittered(box, fraction, rng, image_width, image_height):
     """:func:`jitter_box`'s ``(x, y, w, h)``."""
-    if fraction < 0:
-        raise ValueError("jitter fraction must be >= 0")
-    for _ in range(max_retries):
+    if not 0 <= fraction < math.inf:
+        raise ValueError(f"jitter fraction must be finite and >= 0, got {fraction}")
+    for _ in range(JITTER_RETRIES):
         x0 = box.x + rng.uniform(-fraction * box.w, fraction * box.w)
         x1 = box.x + box.w + rng.uniform(-fraction * box.w, fraction * box.w)
         y0 = box.y + rng.uniform(-fraction * box.h, fraction * box.h)

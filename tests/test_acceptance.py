@@ -134,7 +134,7 @@ def test_02_formula_golden():
         oracle = brute_force_scores(vp)
         for key, target in oracle.items():
             assert abs(values[key] - target) <= 1e-12
-        tube = select_track(scored, "vid", "q")
+        tube = select_track(scored)
         assert tube.entries == {1: p2.box, 2: p4.box}
         baseline = raw_select(vp)
         assert baseline.entries == {1: p1.box, 2: p4.box}
@@ -182,7 +182,7 @@ def test_04_coherence_improvement():
                 id_switch_prob=0.3, box_jitter_fraction=0.1, seed=index,
             )
             vp = generate_proposals(gt, corruption, f"scene_{index:03d}")["1"]
-            reranked = select_track(rerank_scores(vp), vp.video_id, "1")
+            reranked = select_track(rerank_scores(vp))
             baseline = raw_select(vp)
             reranked_miou = track_miou(reranked, gt.boxes[1])
             raw_miou = track_miou(baseline, gt.boxes[1])

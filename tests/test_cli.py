@@ -41,6 +41,104 @@ seed = 5
 """
 
 
+MASK_ATTRIBUTES = [
+    {"video": "v", "object": "1", "annotator": "a", "is_coco": True,
+     "has_spatial": False, "has_verb": False, "length_bin": "short",
+     "num_objects_bin": "2-3", "annotation_type": "first_frame"},
+    {"video": "v", "object": "2", "annotator": "a", "is_coco": False,
+     "has_spatial": True, "has_verb": False, "length_bin": "long",
+     "num_objects_bin": "2-3", "annotation_type": "first_frame"},
+]
+
+MASK_BREAKDOWN_TEXT = """\
+mask_query_count = 2
+query/v/1/j_mean = 1.0000
+query/v/1/j_recall = 1.0000
+query/v/1/j_decay = 0.0000
+query/v/1/f_mean = 1.0000
+query/v/1/f_recall = 1.0000
+query/v/1/f_decay = 0.0000
+query/v/1/t_proxy = 0.0000
+query/v/1/jf = 1.0000
+query/v/2/j_mean = 0.7100
+query/v/2/j_recall = 0.6667
+query/v/2/j_decay = 0.6479
+query/v/2/f_mean = 0.8611
+query/v/2/f_recall = 1.0000
+query/v/2/f_decay = 0.4167
+query/v/2/t_proxy = 0.0000
+query/v/2/jf = 0.7855
+aggregate/j_mean = 0.8550
+aggregate/j_recall = 0.8334
+aggregate/j_decay = 0.3240
+aggregate/f_mean = 0.9305
+aggregate/f_recall = 1.0000
+aggregate/f_decay = 0.2084
+aggregate/t_proxy = 0.0000
+aggregate/jf = 0.8927
+breakdown/jf/coco = 1.0000
+breakdown/jf/non_coco = 0.7855
+breakdown/jf/spatial = 0.7855
+breakdown/jf/non_spatial = 1.0000
+breakdown/jf/no_verb = 0.8927
+breakdown/jf/length_short = 1.0000
+breakdown/jf/length_long = 0.7855
+breakdown/jf/objects_2_3 = 0.8927
+breakdown/jf/first_frame = 0.8927
+"""
+
+MASK_BREAKDOWN_JSON = """\
+{
+  "mask_query_count": 2,
+  "queries": {
+    "v/1": {
+      "j_mean": 1.0,
+      "j_recall": 1.0,
+      "j_decay": 0.0,
+      "f_mean": 1.0,
+      "f_recall": 1.0,
+      "f_decay": 0.0,
+      "t_proxy": 0.0,
+      "jf": 1.0
+    },
+    "v/2": {
+      "j_mean": 0.71,
+      "j_recall": 0.6667,
+      "j_decay": 0.6479,
+      "f_mean": 0.8611,
+      "f_recall": 1.0,
+      "f_decay": 0.4167,
+      "t_proxy": 0.0,
+      "jf": 0.7855
+    }
+  },
+  "aggregate": {
+    "j_mean": 0.855,
+    "j_recall": 0.8334,
+    "j_decay": 0.324,
+    "f_mean": 0.9305,
+    "f_recall": 1.0,
+    "f_decay": 0.2084,
+    "t_proxy": 0.0,
+    "jf": 0.8927
+  },
+  "breakdown": {
+    "jf": {
+      "coco": 1.0,
+      "non_coco": 0.7855,
+      "spatial": 0.7855,
+      "non_spatial": 1.0,
+      "no_verb": 0.8927,
+      "length_short": 1.0,
+      "length_long": 0.7855,
+      "objects_2_3": 0.8927,
+      "first_frame": 0.8927
+    }
+  }
+}
+"""
+
+
 def write_jsonl(path, records):
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
@@ -257,9 +355,80 @@ class TestEvalCommand:
         assert report["breakdown"]["track_miou"]["non_coco"] == 0.0
         assert report["breakdown"]["track_miou"]["objects_2_3"] == 0.5
 
+    def test_attrs_breakdown_with_masks_pins_report(self, tmp_path):
+        gt_mask = rasterize_box(Box(2, 2, 8, 6), 16, 12)
+        shifted = [rasterize_box(Box(x, y, 8, 6), 16, 12) for x, y in ((3, 2), (5, 3))]
+        write_mask_tree(tmp_path / "gt", ("v", "1"), (1, 2, 3), gt_mask)
+        write_mask_tree(tmp_path / "gt", ("v", "2"), (1, 2, 3), gt_mask)
+        write_mask_tree(tmp_path / "pred", ("v", "1"), (1, 2, 3), gt_mask)
+        write_mask_tree(tmp_path / "pred", ("v", "2"), (1,), gt_mask)
+        for frame, mask in zip((2, 3), shifted):
+            write_mask(tmp_path / "pred" / "v" / "2" / f"{frame:05d}.rle", mask)
+        attrs = tmp_path / "attrs.jsonl"
+        write_jsonl(attrs, MASK_ATTRIBUTES)
+        out = tmp_path / "report"
+        assert main([
+            "eval", "--pred-masks", str(tmp_path / "pred"), "--gt-masks", str(tmp_path / "gt"),
+            "--attrs", str(attrs), "--out", str(out),
+        ]) == 0
+        assert (out / "report.txt").read_text() == MASK_BREAKDOWN_TEXT
+        assert (out / "report.json").read_text() == MASK_BREAKDOWN_JSON
+
     def test_usage_error_on_half_specified_inputs(self, tmp_path):
         assert main(["eval", "--pred-tracks", str(tmp_path / "x.jsonl")]) == 1
         assert main(["eval"]) == 1
+
+    def test_usage_error_on_pred_masks_without_gt_masks(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        assert main([
+            "eval", "--pred-masks", str(tmp_path / "masks"), "--out", str(out),
+        ]) == 1
+        message = "usage error: --pred-masks and --gt-masks must be given together"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("layout, message", [
+        ("missing", "mask directory not found: {root}"),
+        ("bad-name", "mask filename is not a frame index: {root}/v/1/first.rle"),
+        ("empty", "no masks found under {root}"),
+    ])
+    def test_mask_tree_errors(self, tmp_path, capsys, layout, message):
+        root = tmp_path / "masks"
+        if layout == "bad-name":
+            write_mask_tree(root, ("v", "1"), (1,), rasterize_box(Box(1, 1, 2, 2), 6, 4))
+            (root / "v" / "1" / "00001.rle").rename(root / "v" / "1" / "first.rle")
+        elif layout == "empty":
+            (root / "v" / "1").mkdir(parents=True)
+            (root / "v" / "1" / "notes.txt").write_text("not a mask\n")
+        out = tmp_path / "report"
+        assert main([
+            "eval", "--pred-masks", str(root), "--gt-masks", str(root), "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(root=root)}\n"
+        assert not out.exists()
+
+    def test_mask_size_mismatch_names_both_trees_and_frame(self, tmp_path, capsys):
+        write_mask_tree(tmp_path / "a", ("v", "1"), (1, 2), rasterize_box(Box(4, 4, 8, 6), 48, 32))
+        write_mask_tree(tmp_path / "b", ("v", "1"), (1, 2), rasterize_box(Box(2, 2, 4, 3), 24, 16))
+        pred, gt, out = tmp_path / "b", tmp_path / "a", tmp_path / "report"
+        assert main([
+            "eval", "--pred-masks", str(pred), "--gt-masks", str(gt), "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {pred} vs {gt}: v/1: "
+            "mask dimensions differ at frame 1: (16, 24) vs (32, 48)\n"
+        )
+        assert not out.exists()
+
+    def test_unreadable_mask_file_is_named(self, tmp_path, capsys):
+        root = tmp_path / "masks"
+        (root / "v" / "1").mkdir(parents=True)
+        bad = root / "v" / "1" / "00001.pbm"
+        bad.write_text("P1\n2 2\n0 1 2 1\n")
+        assert main(["eval", "--pred-masks", str(root), "--gt-masks", str(root)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: PBM payload contains characters other than 0/1\n"
+        )
 
     def test_f_tolerance_flag_absorbs_small_shifts(self, tmp_path):
         gt_mask = rasterize_box(Box(4, 4, 6, 5), 24, 20)
@@ -564,6 +733,60 @@ class TestSimulateCommand:
         assert code == 2
         assert "warp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scene_text, where, message", [
+        ("width = 48\nheigth = 32\n", ":2", "unknown scene spec key: 'heigth'"),
+        ("width = 48\nheight = 32\nnum_frames = x\nobject1.box = 4 6 10 8\n", ":3",
+         "key 'num_frames' expects an integer, got 'x'"),
+        ("width = 48\nheight = 32\nnum_frames = 0\nobject1.box = 4 6 10 8\n", ":3",
+         "key 'num_frames' must be >= 1, got 0"),
+        ("width = 48\nheight = 32\nobject1.box = 4 6 10 8\nobject1.motion = 1 0 2\n", ":4",
+         "key 'object1.motion' expects 6 numbers, got 3"),
+        ("width = 48\nheight = 32\nobject1.box = 4 6 10 8\nobject1.motion = 1 0 2 0 1 x\n",
+         ":4", "key 'object1.motion' expects a number, got 'x'"),
+        ("width = 48\nobject1.box = 4 6 10 8\nobject2.motion = 1 0 2 0 1 0\n", ":3",
+         "motion given for undefined object 2"),
+        ("width = 48\nheight = 32\nobject1.motion = 1 0 2 0 1 0\n", ":3",
+         "motion given for undefined object 1"),
+        ("width = 48\nheight = 32\n", "", "scene spec defines no objects"),
+        ("width = 48\nheight = 32\nobject2.box = 4 6 10 8\n", "",
+         "object indices must be contiguous from 1, got [2]"),
+        ("width = 8\nheight = 8\nobject1.box = 4 6 10 8\n", "",
+         "object 1 initial box outside image bounds"),
+    ])
+    def test_scene_spec_errors_name_the_file(self, tmp_path, capsys, scene_text, where, message):
+        scene, corrupt = self._specs(tmp_path)
+        scene.write_text(scene_text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scene", str(scene), "--corrupt", str(corrupt),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {scene}{where}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corrupt_text, where, message", [
+        ("seed = 5\ndistractors_per_frame = -1\n", ":2", "distractors_per_frame must be >= 0"),
+        ("distractors_per_frame = 1.5\n", ":1",
+         "key 'distractors_per_frame' expects an integer, got '1.5'"),
+        ("score_noise_sd = nan\n", ":1", "score_noise_sd must be finite and >= 0"),
+        ("box_jitter_fraction = inf\n", ":1", "box_jitter_fraction must be finite and >= 0"),
+        ("jitters = 1\n", ":1", "unknown corruption spec key: 'jitters'"),
+    ])
+    def test_corruption_spec_errors_name_the_file(
+        self, tmp_path, capsys, corrupt_text, where, message
+    ):
+        scene, corrupt = self._specs(tmp_path, corrupt_text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scene", str(scene), "--corrupt", str(corrupt),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {corrupt}{where}: {message}\n"
+        assert not out.exists()
+
+    def test_spec_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
+        scene, corrupt = self._specs(tmp_path)
+        corrupt.write_bytes(b"seed = 5 # \xff\n")
+        assert main(["simulate", "--scene", str(scene), "--corrupt", str(corrupt),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {corrupt}: ")
+
     def test_pbm_format_option(self, tmp_path):
         scene, corrupt = self._specs(tmp_path)
         out = tmp_path / "out"
@@ -692,6 +915,26 @@ class TestJitterCommand:
             assert box.x >= 0 and box.y >= 0
             assert box.x + box.w <= 48 and box.y + box.h <= 32
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--fraction", "nan", "must be finite and >= 0, got nan"),
+        ("--fraction", "inf", "must be finite and >= 0, got inf"),
+        ("--fraction", "-1", "must be finite and >= 0, got -1.0"),
+        ("--fraction", "x", "invalid float value: 'x'"),
+        ("--width", "-5", "must be finite and > 0, got -5.0"),
+        ("--width", "0", "must be finite and > 0, got 0.0"),
+        ("--width", "inf", "must be finite and > 0, got inf"),
+        ("--height", "nan", "must be finite and > 0, got nan"),
+    ])
+    def test_bad_flag_is_a_usage_error_before_reading(self, tmp_path, capsys, flag, value, message):
+        flags = {"--fraction": "0.1", "--width": "48", "--height": "32", flag: value}
+        out = tmp_path / "out"
+        assert main([
+            "jitter", "--gt-boxes", str(tmp_path / "missing.jsonl"), "--out", str(out),
+            *(item for pair in flags.items() for item in pair),
+        ]) == 1
+        assert f"usage error: argument {flag}: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStatsCommand:
     def test_bundled_corpus_summary(self, tmp_path, capsys):
@@ -712,6 +955,57 @@ class TestStatsCommand:
         text = (out / "stats.txt").read_text()
         mean = document["groups"]["first_frame"]["mean_length"]
         assert f"group/first_frame/mean_length = {mean:.4f}" in text
+
+    def test_lexicons_dir_is_read_like_the_bundled_lists(self, tmp_path):
+        # The bundled words with a comment, a blank line and a capital give
+        # the same bytes as the bundled lists themselves.
+        data = Path(trackref.__file__).parent / "data"
+        lexicons = tmp_path / "lexicons"
+        lexicons.mkdir()
+        spatial = (data / "spatial_words.txt").read_text()
+        (lexicons / "spatial_words.txt").write_text(
+            "# where the object is\n\n" + spatial.replace("left\n", "Left  # the usual one\n", 1)
+        )
+        (lexicons / "verb_words.txt").write_text((data / "verb_words.txt").read_text().upper())
+        outputs = []
+        for name, extra in (("bundled", []), ("dir", ["--lexicons", str(lexicons)])):
+            out = tmp_path / name
+            assert main(["stats", "--out", str(out), *extra]) == 0
+            outputs.append([
+                (out / file).read_bytes()
+                for file in ("stats.txt", "stats.json", "attributes.jsonl")
+            ])
+        assert outputs[0] == outputs[1]
+
+    def test_lexicons_dir_replaces_the_bundled_lists(self, tmp_path, capsys):
+        lexicons = tmp_path / "lexicons"
+        lexicons.mkdir()
+        (lexicons / "spatial_words.txt").write_text("zzz\n")
+        (lexicons / "verb_words.txt").write_text("walking\n")
+        assert main(["stats", "--lexicons", str(lexicons)]) == 0
+        stdout = capsys.readouterr().out
+        assert "group/first_frame/spatial_fraction = 0.0000" in stdout
+        assert "group/full_video/spatial_fraction = 0.0000" in stdout
+
+    @pytest.mark.parametrize("content", ["", "\n# only a comment\n"])
+    def test_empty_lexicon_names_its_file(self, tmp_path, capsys, content):
+        lexicons = tmp_path / "lexicons"
+        lexicons.mkdir()
+        (lexicons / "spatial_words.txt").write_text(content)
+        (lexicons / "verb_words.txt").write_text("walking\n")
+        out = tmp_path / "stats"
+        assert main(["stats", "--lexicons", str(lexicons), "--out", str(out)]) == 2
+        path = lexicons / "spatial_words.txt"
+        assert capsys.readouterr().err == f"error: {path}: spatial_words lexicon is empty\n"
+        assert not out.exists()
+
+    def test_lexicon_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
+        lexicons = tmp_path / "lexicons"
+        lexicons.mkdir()
+        (lexicons / "spatial_words.txt").write_text("left\n")
+        (lexicons / "verb_words.txt").write_bytes(b"walking\n\xff\n")
+        assert main(["stats", "--lexicons", str(lexicons)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {lexicons / 'verb_words.txt'}: ")
 
 
 class TestUsageErrors:

@@ -205,7 +205,7 @@ ALL_TIED = VideoProposals.from_proposals("v", "q", [
 @example(vp=ALL_TIED, window=None, top_k=1)
 def test_select_track_equals_max(vp, window, top_k):
     scored = rerank_scores(vp, window=window, top_k=top_k)
-    assert select_track(scored, "v", "q") == select_track_by_max(scored, "v", "q")
+    assert select_track(scored) == select_track_by_max(scored, "v", "q")
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,9 +5,9 @@ import pytest
 from trackref.expressions import (
     Lexicons,
     QueryRecord,
-    bundled_lexicons,
     bundled_sample_corpus_path,
     corpus_stats,
+    load_lexicons,
     load_word_list,
     num_objects_by_video,
     read_attributes,
@@ -125,7 +125,7 @@ class TestCorpusStats:
 class TestBundledSampleCorpus:
     def test_stats_match_independent_word_counts(self):
         records = read_corpus(bundled_sample_corpus_path())
-        lexicons = bundled_lexicons()
+        lexicons = load_lexicons()
         stats = corpus_stats(records, lexicons)
 
         # Sample texts are plain space-separated words, so a whitespace count
@@ -190,7 +190,7 @@ class TestCorpusFiles:
 
     def test_attributes_round_trip(self, tmp_path):
         records = read_corpus(bundled_sample_corpus_path())
-        lexicons = bundled_lexicons()
+        lexicons = load_lexicons()
         counts = num_objects_by_video(records)
         tagged = [
             (r, tag_query(r, lexicons, counts[r.video_id])) for r in records
@@ -221,6 +221,6 @@ class TestCorpusFiles:
         assert load_word_list(path) == frozenset({"left", "right"})
 
     def test_bundled_lexicons_nonempty(self):
-        lexicons = bundled_lexicons()
+        lexicons = load_lexicons()
         assert "left" in lexicons.spatial_words
         assert "running" in lexicons.verb_words

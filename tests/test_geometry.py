@@ -17,14 +17,12 @@ from trackref.geometry import (
     pbm_loads,
     rasterize_box,
     read_mask,
-    read_rle_stream,
     rle_decode,
     rle_encode,
     rle_line_dumps,
     rle_line_loads,
     warp_mask,
     write_mask,
-    write_rle_stream,
 )
 
 # Independent oracles, written before the operations they check.
@@ -307,19 +305,3 @@ class TestMaskFiles:
     def test_unsupported_extension(self, tmp_path):
         with pytest.raises(ValueError, match="extension"):
             write_mask(tmp_path / "mask.png", empty_mask(2, 2))
-
-    def test_rle_stream_round_trip(self, tmp_path):
-        rng = np.random.RandomState(37)
-        masks = [rng.rand(5, 9) > 0.5 for _ in range(6)]
-        path = tmp_path / "masks.rle"
-        write_rle_stream(path, masks)
-        loaded = read_rle_stream(path)
-        assert len(loaded) == 6
-        for original, decoded in zip(masks, loaded):
-            assert np.array_equal(original, decoded)
-
-    def test_rle_stream_error_reports_line(self, tmp_path):
-        path = tmp_path / "masks.rle"
-        path.write_text("RLE 1 2 2\nRLE 1 2 9\n")
-        with pytest.raises(ValueError, match=":2:"):
-            read_rle_stream(path)

@@ -1,13 +1,16 @@
 import math
 import time
-from statistics import fmean
+from statistics import fmean, mean
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackref.geometry import Box, box_iou, empty_mask, mask_iou, rasterize_box
 from trackref.metrics import (
     QueryAttributes,
+    SeriesStats,
     attribute_breakdown,
     auc_success,
     boundary_f,
@@ -137,6 +140,35 @@ class TestSeriesStats:
             assert -1.0 <= stats.decay <= 1.0
         for n in (1, 2, 3, 4, 7, 11):
             assert series_stats([0.4] * n).decay == 0.0
+
+
+def four_bin_stats(values):
+    """Mean, recall and decay with all four quartile bins built, remainders first."""
+    base, remainder = divmod(len(values), 4)
+    bins, start = [], 0
+    for index in range(4):
+        size = base + (1 if index < remainder else 0)
+        bins.append(values[start:start + size])
+        start += size
+    last = next(b for b in reversed(bins) if b)  # short series leave empty bins
+    decay = float(mean(bins[0]) - mean(last))
+    return SeriesStats(fmean(values), sum(v > 0.5 for v in values) / len(values), decay)
+
+
+_unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 200).flatmap(lambda n: st.lists(_unit, min_size=n, max_size=n)))
+def test_series_stats_equals_four_bin_construction(values):
+    assert series_stats(values) == four_bin_stats(values)
+
+
+def test_series_stats_decay_bins_for_every_length():
+    # Distinct values per position, so a bin boundary off by one moves the decay.
+    for n in range(1, 201):
+        values = [(index * 37 % 101) / 100 for index in range(n)]
+        assert series_stats(values) == four_bin_stats(values), n
 
 
 class TestBoundaryF:

@@ -267,7 +267,7 @@ class TestRerankScores:
 class TestSelection:
     def test_toy_selects_consistent_tube(self):
         vp = toy_video()
-        track = select_track(rerank_scores(vp), "vid", "q")
+        track = select_track(rerank_scores(vp))
         assert track.entries[1] == Box(20, 0, 10, 10)
         assert track.entries[2] == Box(20, 0, 10, 10)
 
@@ -286,7 +286,7 @@ class TestSelection:
         assert track.entries[1] == Box(10, 0, 5, 5)
 
     def test_empty_frames_have_no_entry(self):
-        track = select_track(rerank_scores(VideoProposals.from_proposals("v", "q", [])), "v", "q")
+        track = select_track(rerank_scores(VideoProposals.from_proposals("v", "q", [])))
         assert track.entries == {}
         assert track.box_at(1) is None
 

@@ -125,6 +125,19 @@ class TestJitterBox:
         with pytest.raises(ValueError):
             jitter_box(Box(0, 0, 5, 5), -0.1, SplitRng(0), 10, 10)
 
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf")])
+    def test_non_finite_fraction_rejected(self, fraction):
+        with pytest.raises(ValueError, match="finite"):
+            jitter_box(Box(0, 0, 5, 5), fraction, SplitRng(0), 10, 10)
+
+    def test_box_wider_than_image_allows_falls_back_to_minimum_size(self):
+        # No draw leaves a side over one pixel in a 1.5-pixel-wide image, so
+        # every retry fails and the box is forced to 1 x 1 inside the image.
+        root = SplitRng(5, "fallback")
+        for draw in range(20):
+            out = jitter_box(Box(3.0, 2.0, 10.0, 10.0), 0.1, root.child(draw), 1.5, 8.0)
+            assert out == Box(0.5, 2.0, 1.0, 1.0)
+
 
 class TestSynthFlow:
     def test_translation_magnitudes(self):
@@ -331,7 +344,7 @@ class TestFixedDistractorScenario:
         gt = {frame: target_box for frame in range(1, 9)}
 
         raw = raw_select(vp)
-        reranked = select_track(rerank_scores(vp), "vid", "1")
+        reranked = select_track(rerank_scores(vp))
         assert all(raw.entries[f] == distractor_box for f in range(1, 9))
         assert all(reranked.entries[f] == distractor_box for f in range(1, 9))
         assert track_miou(reranked, gt) == track_miou(raw, gt)
