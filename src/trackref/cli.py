@@ -107,17 +107,20 @@ def _read_mask_tree(root) -> dict[tuple[str, str], dict[int, Mask]]:
     out: dict[tuple[str, str], dict[int, Mask]] = {}
     for video_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         for query_dir in sorted(p for p in video_dir.iterdir() if p.is_dir()):
-            frames: dict[int, Mask] = {}
+            files: dict[int, Path] = {}
             for mask_file in sorted(query_dir.iterdir()):
                 if mask_file.suffix not in (".pbm", ".rle"):
                     continue
-                try:
-                    frame = int(mask_file.stem)
-                except ValueError:
+                stem = mask_file.stem
+                if not (stem.isascii() and stem.isdigit() and int(stem) >= 1):
+                    raise ValueError(f"mask filename is not a frame index: {mask_file}")
+                frame = int(stem)
+                if frame in files:
                     raise ValueError(
-                        f"mask filename is not a frame index: {mask_file}"
-                    ) from None
-                frames[frame] = read_mask(mask_file)
+                        f"two mask files name frame {frame}: {files[frame]} and {mask_file}"
+                    )
+                files[frame] = mask_file
+            frames = {frame: read_mask(path) for frame, path in files.items()}
             if frames:
                 out[(video_dir.name, query_dir.name)] = frames
     if not out:
@@ -276,26 +279,30 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     _ensure_dir(out)
-    written: list[Path] = []
+    digests: dict[Path, str] = {}
     boxes_path = out / "gt_boxes.jsonl"
     rerank.write_tracks(boxes_path, all_tracks)
-    written.append(boxes_path)
     proposals_path = out / "proposals.jsonl"
     rerank.write_proposals(proposals_path, all_proposals)
-    written.append(proposals_path)
+    for path in (boxes_path, proposals_path):
+        digests[path] = _digest(path.read_bytes())
+    # Every scene shares the ground-truth masks: each is encoded and hashed
+    # once, and its bytes are copied to the other scenes' paths.
     extension = ".pbm" if args.mask_format == "pbm" else ".rle"
-    for video in videos:
-        for query in sorted(gt.masks):
-            mask_dir = out / "masks" / video / str(query)
+    for query in sorted(gt.masks):
+        mask_dirs = [out / "masks" / video / str(query) for video in videos]
+        for mask_dir in mask_dirs:
             _ensure_dir(mask_dir)
-            for frame in sorted(gt.masks[query]):
-                path = mask_dir / f"{frame:05d}{extension}"
-                write_mask(path, gt.masks[query][frame])
-                written.append(path)
+        for frame in sorted(gt.masks[query]):
+            name = f"{frame:05d}{extension}"
+            data = write_mask(mask_dirs[0] / name, gt.masks[query][frame])
+            digest = _digest(data)
+            digests[mask_dirs[0] / name] = digest
+            for mask_dir in mask_dirs[1:]:
+                (mask_dir / name).write_bytes(data)
+                digests[mask_dir / name] = digest
 
-    manifest_lines = []
-    for path in sorted(written):
-        manifest_lines.append(f"{_digest(path.read_bytes())}  {path.relative_to(out)}")
+    manifest_lines = [f"{digests[path]}  {path.relative_to(out)}" for path in sorted(digests)]
     manifest = "\n".join(manifest_lines) + "\n"
     (out / "MANIFEST.txt").write_text(manifest, encoding="utf-8")
     sys.stdout.write(manifest)

@@ -280,6 +280,19 @@ def warp_mask(mask: Mask, transform: AffineTransform) -> Mask:
     Only the output window that the source bbox can reach is evaluated (see
     ``_warp_window``), with the same per-pixel arithmetic as the full frame,
     so the cost scales with the object rather than the frame.
+
+    The source column of output pixel (row, col) is
+    ``fl(fl(fl(a*col) + fl(b*row)) + tx)`` over ``inv``'s coefficients, and
+    its source row likewise.  When ``inv`` is axis-aligned (``b == c == 0``,
+    as for every translation and scaling), ``fl(b*row)`` is a zero whose
+    sign is that of ``b`` for every row >= 0, so the source column depends on
+    ``col`` alone and the source row on ``row`` alone: they are computed on
+    the window's columns and rows, adding ``fl(b*row0)`` and ``fl(c*col0)``
+    so that every rounding is the general path's.  The window is then one
+    gather of source rows followed by one of source columns (indices
+    clipped into the frame, out-of-frame rows and columns cleared after).
+    The general path broadcasts 1-D products, which gives the same
+    roundings as a full grid.
     """
     height, width = mask.shape
     inv = transform.inverse()
@@ -290,13 +303,19 @@ def warp_mask(mask: Mask, transform: AffineTransform) -> Mask:
     row0, row1, col0, col1 = _warp_window(inv, source, height, width)
     if row0 >= row1 or col0 >= col1:
         return out
-    cols, rows = np.meshgrid(
-        np.arange(col0, col1, dtype=float), np.arange(row0, row1, dtype=float)
-    )
-    src_x = inv.a * cols + inv.b * rows + inv.tx
-    src_y = inv.c * cols + inv.d * rows + inv.ty
-    src_c = _round_half_up(src_x)
-    src_r = _round_half_up(src_y)
+    cols = np.arange(col0, col1, dtype=float)
+    rows = np.arange(row0, row1, dtype=float)
+    if inv.b == 0 and inv.c == 0:
+        src_c = _round_half_up(inv.a * cols + inv.b * float(row0) + inv.tx)
+        src_r = _round_half_up(inv.c * float(col0) + inv.d * rows + inv.ty)
+        in_c = (src_c >= 0) & (src_c < width)
+        in_r = (src_r >= 0) & (src_r < height)
+        gathered = mask[src_r.clip(0, height - 1)][:, src_c.clip(0, width - 1)]
+        out[row0:row1, col0:col1] = gathered & in_r[:, None] & in_c
+        return out
+    rows = rows[:, None]
+    src_c = _round_half_up(inv.a * cols + inv.b * rows + inv.tx)
+    src_r = _round_half_up(inv.c * cols + inv.d * rows + inv.ty)
     inside = (src_r >= 0) & (src_r < height) & (src_c >= 0) & (src_c < width)
     out[row0:row1, col0:col1][inside] = mask[src_r[inside], src_c[inside]]
     return out
@@ -361,15 +380,18 @@ def rle_line_loads(line: str) -> RleMask:
     return RleMask(height, width, runs)
 
 
-def pbm_dumps(mask: Mask) -> str:
-    """Serialize a mask as ASCII PBM (magic P1, then width/height, then bits)."""
+def _pbm_bytes(mask: Mask) -> bytes:
+    """ASCII PBM bytes: magic P1, then width/height, then one row of bits per line."""
     height, width = mask.shape
-    digits = (mask.astype(np.uint8) + ord("0")).astype(np.uint8)
     spaced = np.full((height, 2 * width), ord(" "), dtype=np.uint8)
-    spaced[:, ::2] = digits
+    np.add(mask, ord("0"), out=spaced[:, ::2], dtype=np.uint8)
     spaced[:, -1] = ord("\n")
-    body = spaced.tobytes().decode("ascii")
-    return f"P1\n{width} {height}\n{body}"
+    return b"P1\n%d %d\n" % (width, height) + spaced.tobytes()
+
+
+def pbm_dumps(mask: Mask) -> str:
+    """Serialize a mask as ASCII PBM text (the bytes ``write_mask`` writes)."""
+    return _pbm_bytes(mask).decode("ascii")
 
 
 # A comment runs from '#' to the end of its line, where lines end as in
@@ -405,17 +427,18 @@ def pbm_loads(text: str) -> Mask:
     return flat.reshape(height, width)
 
 
-def write_mask(path, mask: Mask) -> None:
-    """Write a mask file; format chosen by extension (.pbm or .rle)."""
+def write_mask(path, mask: Mask) -> bytes:
+    """Write a mask file, format chosen by extension (.pbm or .rle); return its bytes."""
     path = str(path)
     if path.endswith(".pbm"):
-        data = pbm_dumps(mask)
+        data = _pbm_bytes(mask)
     elif path.endswith(".rle"):
-        data = rle_line_dumps(rle_encode(mask)) + "\n"
+        data = (rle_line_dumps(rle_encode(mask)) + "\n").encode("ascii")
     else:
         raise ValueError(f"unsupported mask file extension: {path}")
-    with open(path, "w", encoding="ascii") as handle:
+    with open(path, "wb") as handle:
         handle.write(data)
+    return data
 
 
 def read_mask(path) -> Mask:

@@ -70,12 +70,16 @@ def box_muller(u1: float, u2: float, mean: float = 0.0, sd: float = 1.0) -> floa
     return mean + sd * radius * math.cos(2.0 * math.pi * u2)
 
 
+# mix64(byte + GOLDEN) for every byte value: the inner mix of a string fold.
+_BYTE_MIX = tuple(mix64(byte + _GOLDEN) for byte in range(256))
+
+
 def _fold(key: int, part: int | str) -> int:
     if isinstance(part, str):
         data = part.encode("utf-8")
         key = mix64(key ^ mix64(len(data) + _GOLDEN))
         for byte in data:
-            key = mix64(key ^ mix64(byte + _GOLDEN))
+            key = mix64(key ^ _BYTE_MIX[byte])
         return key
     return mix64(key ^ mix64((int(part) + _GOLDEN) & _MASK64))
 

@@ -154,9 +154,10 @@ def parse_scene_spec(text: str, path: str = "<scene spec>") -> SceneSpec:
     Recognized keys: ``width``, ``height``, ``num_frames``, ``background``
     (six affine coefficients ``a b tx c d ty``), and per object
     ``object<k>.box`` (``x y w h``) / ``object<k>.motion`` (affine), with k
-    counting from 1.  Random draws are keyed by the corruption spec's seed
-    and ``--seed``, so a scene spec has no ``seed`` key.  Every error starts
-    with ``path``, and an error about one key with ``path:line``.
+    counting from 1 and written in ASCII digits without a leading zero.
+    Random draws are keyed by the corruption spec's seed and ``--seed``, so
+    a scene spec has no ``seed`` key.  Every error starts with ``path``, and
+    an error about one key with ``path:line``.
     """
     scalars = {"width": 1, "height": 1, "num_frames": 1}
     boxes: dict[int, Box] = {}
@@ -172,10 +173,11 @@ def parse_scene_spec(text: str, path: str = "<scene spec>") -> SceneSpec:
                 background = _parse_affine(value, key)
             elif key.startswith("object") and "." in key:
                 head, _, field = key.partition(".")
-                try:
-                    index = int(head[len("object"):])
-                except ValueError:
-                    raise ValueError(f"unknown scene spec key: {key!r}") from None
+                digits = head[len("object"):]
+                # One spelling per index: object01 or object+1 must not alias object1.
+                if not (digits.isascii() and digits.isdigit() and str(int(digits)) == digits):
+                    raise ValueError(f"unknown scene spec key: {key!r}")
+                index = int(digits)
                 if field == "box":
                     boxes[index] = Box(*_parse_floats(value, 4, key))
                 elif field == "motion":

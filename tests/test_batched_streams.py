@@ -37,6 +37,27 @@ def test_mix64_array_matches_scalar(values):
     assert mixed.tolist() == [mix64(v) for v in values]
 
 
+def literal_string_key(key, text):
+    """The module docstring's string fold, one mix64 call per step."""
+    data = text.encode("utf-8")
+    key = mix64(key ^ mix64(len(data) + GOLDEN))
+    for byte in data:
+        key = mix64(key ^ mix64(byte + GOLDEN))
+    return key
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=any_int, texts=st.lists(st.text(), min_size=1, max_size=3))
+@example(seed=0, texts=[""])
+@example(seed=MASK64, texts=["scene_000", "\x00\xff\u00e9\U0001f600"])
+def test_string_parts_fold_as_the_literal_formula(seed, texts):
+    key = mix64(seed & MASK64)
+    for text in texts:
+        key = literal_string_key(key, text)
+    assert SplitRng(seed, *texts).next_u64() == mix64((key + GOLDEN) & MASK64)
+    assert SplitRng(seed).child(*texts).next_u64() == mix64((key + GOLDEN) & MASK64)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=any_int,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -390,6 +391,13 @@ class TestEvalCommand:
     @pytest.mark.parametrize("layout, message", [
         ("missing", "mask directory not found: {root}"),
         ("bad-name", "mask filename is not a frame index: {root}/v/1/first.rle"),
+        ("0.rle", "mask filename is not a frame index: {root}/v/1/0.rle"),
+        ("-2.rle", "mask filename is not a frame index: {root}/v/1/-2.rle"),
+        ("+2.pbm", "mask filename is not a frame index: {root}/v/1/+2.pbm"),
+        ("\uff12.rle", "mask filename is not a frame index: {root}/v/1/\uff12.rle"),
+        ("1.rle", "two mask files name frame 1: {root}/v/1/00001.rle and {root}/v/1/1.rle"),
+        ("00001.pbm",
+         "two mask files name frame 1: {root}/v/1/00001.pbm and {root}/v/1/00001.rle"),
         ("empty", "no masks found under {root}"),
     ])
     def test_mask_tree_errors(self, tmp_path, capsys, layout, message):
@@ -397,6 +405,10 @@ class TestEvalCommand:
         if layout == "bad-name":
             write_mask_tree(root, ("v", "1"), (1,), rasterize_box(Box(1, 1, 2, 2), 6, 4))
             (root / "v" / "1" / "00001.rle").rename(root / "v" / "1" / "first.rle")
+        elif layout.endswith((".rle", ".pbm")):  # a second file beside 00001.rle
+            mask = rasterize_box(Box(1, 1, 2, 2), 6, 4)
+            write_mask_tree(root, ("v", "1"), (1,), mask)
+            write_mask(root / "v" / "1" / layout, mask)
         elif layout == "empty":
             (root / "v" / "1").mkdir(parents=True)
             (root / "v" / "1" / "notes.txt").write_text("not a mask\n")
@@ -752,6 +764,19 @@ class TestSimulateCommand:
          "object indices must be contiguous from 1, got [2]"),
         ("width = 8\nheight = 8\nobject1.box = 4 6 10 8\n", "",
          "object 1 initial box outside image bounds"),
+        # An object index has one spelling: these would alias object1 or object10.
+        ("width = 48\nheight = 32\nobject1.box = 4 6 10 8\nobject01.box = 1 1 2 2\n", ":4",
+         "unknown scene spec key: 'object01.box'"),
+        ("width = 48\nheight = 32\nobject1.box = 4 6 10 8\nobject+1.motion = 1 0 9 0 1 0\n",
+         ":4", "unknown scene spec key: 'object+1.motion'"),
+        ("width = 48\nheight = 32\nobject1.box = 4 6 10 8\nobject1_0.box = 1 1 2 2\n", ":4",
+         "unknown scene spec key: 'object1_0.box'"),
+        ("width = 48\nheight = 32\nobject1.box = 4 6 10 8\nobject 1.motion = 1 0 9 0 1 0\n",
+         ":4", "unknown scene spec key: 'object 1.motion'"),
+        ("width = 48\nheight = 32\nobject\uff11.box = 4 6 10 8\n", ":3",
+         "unknown scene spec key: 'object\uff11.box'"),
+        ("width = 48\nheight = 32\nobject-1.box = 4 6 10 8\n", ":3",
+         "unknown scene spec key: 'object-1.box'"),
     ])
     def test_scene_spec_errors_name_the_file(self, tmp_path, capsys, scene_text, where, message):
         scene, corrupt = self._specs(tmp_path)
@@ -786,6 +811,34 @@ class TestSimulateCommand:
         assert main(["simulate", "--scene", str(scene), "--corrupt", str(corrupt),
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {corrupt}: ")
+
+    @pytest.mark.parametrize("mask_format", ["rle", "pbm"])
+    def test_manifest_hashes_the_files_and_scenes_share_masks(self, tmp_path, mask_format):
+        scene, corrupt = self._specs(tmp_path)
+        out = tmp_path / "out"
+        assert main([
+            "simulate", "--scene", str(scene), "--corrupt", str(corrupt),
+            "--out", str(out), "--scenes", "3", "--mask-format", mask_format,
+        ]) == 0
+        listed = {}
+        for line in (out / "MANIFEST.txt").read_text().splitlines():
+            digest, relative = line.split("  ")
+            listed[relative] = digest
+        on_disk = sorted(
+            str(p.relative_to(out)) for p in out.rglob("*")
+            if p.is_file() and p.name != "MANIFEST.txt"
+        )
+        assert sorted(listed) == on_disk
+        for relative, digest in listed.items():
+            assert digest == hashlib.sha256((out / relative).read_bytes()).hexdigest()
+        first = out / "masks" / "scene_000"
+        names = sorted(str(p.relative_to(first)) for p in first.rglob(f"*.{mask_format}"))
+        assert len(names) == 6  # one object, six frames
+        for scene_dir in ("scene_001", "scene_002"):
+            other = out / "masks" / scene_dir
+            assert sorted(str(p.relative_to(other)) for p in other.rglob("*.*")) == names
+            for name in names:
+                assert (other / name).read_bytes() == (first / name).read_bytes()
 
     def test_pbm_format_option(self, tmp_path):
         scene, corrupt = self._specs(tmp_path)

@@ -302,6 +302,17 @@ class TestMaskFiles:
         write_mask(path, mask)
         assert np.array_equal(read_mask(path), mask)
 
+    @pytest.mark.parametrize("extension", [".pbm", ".rle"])
+    def test_write_returns_the_bytes_written(self, tmp_path, extension):
+        mask = np.random.RandomState(5).rand(6, 9) > 0.5
+        path = tmp_path / f"mask{extension}"
+        data = write_mask(path, mask)
+        assert isinstance(data, bytes)
+        assert data == path.read_bytes()
+        if extension == ".pbm":
+            assert data.decode("ascii") == pbm_dumps(mask)
+
     def test_unsupported_extension(self, tmp_path):
         with pytest.raises(ValueError, match="extension"):
             write_mask(tmp_path / "mask.png", empty_mask(2, 2))
+        assert not (tmp_path / "mask.png").exists()

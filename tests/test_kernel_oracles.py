@@ -142,11 +142,15 @@ def mask_pairs(draw):
 
 @st.composite
 def warp_cases(draw):
-    """A mask and a rotation, shear, scaling or near-singular linear map about
-    the frame center, plus a shift, so that content often stays in view."""
+    """A mask and a rotation, shear, axis-aligned scaling (flips included) or
+    general or near-singular linear map about the frame center, plus a shift,
+    so that content often stays in view."""
     mask = draw(masks())
-    kind = draw(st.sampled_from(["similar", "shear", "general", "near_singular"]))
-    if kind == "similar":
+    kind = draw(st.sampled_from(["similar", "shear", "axis_aligned", "general", "near_singular"]))
+    if kind == "axis_aligned":  # warp_mask's separable gather; zeros of either sign
+        a, d = (draw(st.floats(0.2, 5.0)) * draw(st.sampled_from([1, -1])) for _ in range(2))
+        b, c = (draw(st.sampled_from([0.0, -0.0])) for _ in range(2))
+    elif kind == "similar":
         angle = draw(st.floats(-math.pi, math.pi))
         scale = draw(st.floats(0.2, 5.0))
         a, b = scale * math.cos(angle), -scale * math.sin(angle)
@@ -184,9 +188,14 @@ class TestMaskBbox:
         assert mask_bbox(mask) == expected
 
 
+_RANDOM_MASK = np.random.RandomState(7).rand(7, 9) > 0.5
+
+
 class TestWarpMaskOracle:
     @settings(max_examples=300, deadline=None)
     @given(warp_cases())
+    @example((_RANDOM_MASK, AffineTransform(-1.0, -0.0, 8.0, 0.0, -1.0, 6.0)))  # both flipped
+    @example((_RANDOM_MASK, AffineTransform(1.003, 0.0, -1.3, -0.0, 1.003, -0.9)))
     def test_equals_full_frame(self, case):
         mask, transform = case
         assert np.array_equal(warp_mask(mask, transform), warp_mask_full_frame(mask, transform))
