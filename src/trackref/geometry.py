@@ -170,15 +170,14 @@ def mask_bbox(mask: Mask) -> tuple[slice, slice] | None:
     """Row and column slices of the tightest box holding every set pixel.
 
     ``mask[mask_bbox(mask)]`` is the tight crop; None when the mask is empty.
+    Columns are scanned only within the rows that hold set pixels.
     """
     rows = mask.any(axis=1)
     if not rows.any():
         return None
-    cols = mask.any(axis=0)
-    return (
-        slice(int(rows.argmax()), rows.size - int(rows[::-1].argmax())),
-        slice(int(cols.argmax()), cols.size - int(cols[::-1].argmax())),
-    )
+    top, bottom = int(rows.argmax()), rows.size - int(rows[::-1].argmax())
+    cols = mask[top:bottom].any(axis=0)
+    return slice(top, bottom), slice(int(cols.argmax()), cols.size - int(cols[::-1].argmax()))
 
 
 def box_from_mask(mask: Mask) -> Box | None:
@@ -394,37 +393,71 @@ def pbm_dumps(mask: Mask) -> str:
     return _pbm_bytes(mask).decode("ascii")
 
 
-# A comment runs from '#' to the end of its line, where lines end as in
-# ``str.splitlines``; whitespace is what ``str.split`` splits on.
-_PBM_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+# Whitespace is what ``str.split`` splits on; in ASCII that includes
+# \x1c-\x1f, which ``bytes.split`` keeps.  A comment runs from '#' to the end
+# of its line, where lines end as in ``str.splitlines``.  In the payload a
+# comment is deleted; in the header it is one more gap between tokens, and
+# it must reach its line end, so that a failed match cannot retry it shorter.
 _ASCII_SPACE = bytes(code for code in range(128) if chr(code).isspace())
+_SPACE = re.escape(_ASCII_SPACE)
+_LINE_END = rb"\n\r\x0b\x0c\x1c-\x1e"
+_PBM_COMMENT = re.compile(rb"#[^%s]*" % _LINE_END)
+_PBM_GAP = rb"(?:[%s]|#[^%s]*(?![^%s]))" % (_SPACE, _LINE_END, _LINE_END)
+_PBM_TOKEN = rb"([^%s#]+)" % _SPACE
+# Matches iff the first token is P1 and two more follow: width and height.
+_PBM_HEADER = re.compile(_PBM_GAP + b"*P1" + (_PBM_GAP + b"+" + _PBM_TOKEN) * 2)
 
 
-def pbm_loads(text: str) -> Mask:
-    """Parse ASCII PBM; accepts packed or whitespace-separated bits and comments."""
-    tokens = _PBM_COMMENT.sub("", text).split(maxsplit=3)
-    if len(tokens) < 3 or tokens[0] != "P1":
+def _pbm_parse(data: bytes, text: str | None = None) -> Mask:
+    """Parse an ASCII PBM document given as bytes.
+
+    ``text``, when given, is the same document with one character per byte
+    of ``data``; the width and height are read from it, since ``int``
+    accepts any Unicode decimal digits in a ``str``.
+    """
+    header = _PBM_HEADER.match(data)
+    if header is None:
         raise ValueError("not an ASCII PBM document (missing P1 header)")
+    source = data if text is None else text
     try:
-        width, height = int(tokens[1]), int(tokens[2])
+        width, height = (int(source[header.start(g):header.end(g)]) for g in (1, 2))
     except ValueError as exc:
         raise ValueError("malformed PBM dimensions") from exc
     if width < 1 or height < 1:
         raise ValueError(f"invalid PBM dimensions {width}x{height}")
-    payload = tokens[3] if len(tokens) == 4 else ""
-    if not payload.isascii():
-        # Non-ASCII whitespace becomes a space, any other non-ASCII character
-        # a '?': one byte per character, neither a bit nor whitespace.
-        payload = " ".join(payload.split())
-    bits = payload.encode("ascii", "replace").translate(None, _ASCII_SPACE)
+    payload = data[header.end():]
+    if b"#" in payload:
+        payload = _PBM_COMMENT.sub(b"", payload)
+    bits = payload.translate(None, _ASCII_SPACE)
     if len(bits) != width * height:
         raise ValueError(
             f"PBM payload has {len(bits)} bits, expected {width * height}"
         )
-    if bits.translate(None, b"01"):
+    flat = np.frombuffer(bits, dtype=np.uint8) - ord("0")  # wraps below '0'
+    if (flat > 1).any():
         raise ValueError("PBM payload contains characters other than 0/1")
-    flat = np.frombuffer(bits, dtype=np.uint8) == ord("1")
-    return flat.reshape(height, width)
+    return flat.view(bool).reshape(height, width)
+
+
+def pbm_loads(text: str) -> Mask:
+    """Parse ASCII PBM; accepts packed or whitespace-separated bits and comments.
+
+    The text goes to the parser of ``read_mask`` with each non-ASCII
+    character as one byte: a line end as ``\\n``, other whitespace as a
+    space, anything else as ``?`` (neither a bit nor whitespace).  Width and
+    height are read by ``int`` from the text itself, so they may be written
+    in any Unicode decimal digits.
+    """
+    if text.isascii():
+        return _pbm_parse(text.encode("ascii"))
+    data = "".join(
+        char if char.isascii()
+        else "\n" if char in "\x85\u2028\u2029"
+        else " " if char.isspace()
+        else "?"
+        for char in text
+    )
+    return _pbm_parse(data.encode("ascii"), text)
 
 
 def write_mask(path, mask: Mask) -> bytes:
@@ -442,13 +475,22 @@ def write_mask(path, mask: Mask) -> bytes:
 
 
 def read_mask(path) -> Mask:
-    """Read a mask file by extension; a malformed file raises ValueError naming it."""
+    """Read a mask file by extension; a malformed file raises ValueError naming it.
+
+    The file is read as bytes.  A non-ASCII byte raises the ``ascii``
+    codec's error, which gives its position; a PBM file is then parsed as
+    bytes, an RLE file as its ASCII text.
+    """
     path = str(path)
     if not path.endswith((".pbm", ".rle")):
         raise ValueError(f"unsupported mask file extension: {path}")
     try:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
-        return pbm_loads(text) if path.endswith(".pbm") else rle_decode(rle_line_loads(text))
+        with open(path, "rb") as handle:
+            data = handle.read()
+        if not data.isascii():
+            data.decode("ascii")  # raises UnicodeDecodeError, a ValueError
+        if path.endswith(".pbm"):
+            return _pbm_parse(data)
+        return rle_decode(rle_line_loads(data.decode("ascii")))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

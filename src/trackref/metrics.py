@@ -180,31 +180,28 @@ def boundary_f(pred: Mask, gt: Mask, tolerance: int | None = None) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _centroid(mask: Mask) -> tuple[float, float]:
+def _object(mask: Mask) -> tuple[int, int, Mask, int, tuple[float, float]] | None:
+    """Top row, left column, tight crop, pixel count and centroid of the set
+    pixels; None when the mask is empty."""
+    window = mask_bbox(mask)
+    if window is None:
+        return None
+    rows, cols = window
+    crop = mask[window]
     # Integer moments from the row and column sums inside the bbox; exact
     # below 2**53, so each coordinate is the correctly rounded mean index.
-    rows, cols = mask_bbox(mask)
-    crop = mask[rows, cols]
     row_counts = np.count_nonzero(crop, axis=1)
     col_counts = np.count_nonzero(crop, axis=0)
     total = int(row_counts.sum())
-    return (
+    centroid = (
         int(row_counts @ np.arange(rows.start, rows.stop)) / total,
         int(col_counts @ np.arange(cols.start, cols.stop)) / total,
     )
+    return rows.start, cols.start, crop, total, centroid
 
 
-def _translate(mask: Mask, dr: int, dc: int) -> Mask:
-    """Integer translation with zero fill (content shifted out is lost)."""
-    height, width = mask.shape
-    out = np.zeros_like(mask)
-    src_r0, src_r1 = max(0, -dr), min(height, height - dr)
-    src_c0, src_c1 = max(0, -dc), min(width, width - dc)
-    if src_r0 < src_r1 and src_c0 < src_c1:
-        out[src_r0 + dr:src_r1 + dr, src_c0 + dc:src_c1 + dc] = (
-            mask[src_r0:src_r1, src_c0:src_c1]
-        )
-    return out
+def _centroid(mask: Mask) -> tuple[float, float]:
+    return _object(mask)[4]
 
 
 def _round_half_up(value: float) -> int:
@@ -215,26 +212,49 @@ def temporal_stability_proxy(masks: Sequence[Mask]) -> float:
     """Mean centroid-aligned dissimilarity of consecutive mask pairs.
 
     Each mask is translated so set-pixel centroids coincide (integer shift)
-    before comparing, which cancels pure translation.  A pair with exactly
-    one empty mask contributes 1; two empty masks contribute 0.
+    before comparing, which cancels pure translation; content shifted out of
+    the frame is lost.  A pair with exactly one empty mask contributes 1;
+    two empty masks contribute 0.  Each mask's crop, pixel count and
+    centroid are found once, and a pair's overlap is counted on the shifted
+    crops, so the IoU is the full-frame one, integer counts and all.
     """
     if len(masks) < 2:
         raise ValueError("temporal stability needs at least two frames")
+    objects = [_object(mask) for mask in masks]
     contributions = []
-    for current, following in zip(masks, masks[1:]):
-        current_empty = not current.any()
-        following_empty = not following.any()
-        if current_empty and following_empty:
-            contributions.append(0.0)
+    for current, following, a, b in zip(masks, masks[1:], objects, objects[1:]):
+        if a is None or b is None:
+            contributions.append(0.0 if a is b else 1.0)
             continue
-        if current_empty or following_empty:
-            contributions.append(1.0)
-            continue
-        r0, c0 = _centroid(current)
-        r1, c1 = _centroid(following)
-        aligned = _translate(current, _round_half_up(r1 - r0), _round_half_up(c1 - c0))
-        contributions.append(1.0 - mask_iou(aligned, following))
+        if current.shape != following.shape:
+            raise ValueError(f"mask dimensions differ: {current.shape} vs {following.shape}")
+        height, width = following.shape
+        top_a, left_a, crop_a, count_a, (r0, c0) = a
+        top_b, left_b, crop_b, count_b, (r1, c1) = b
+        top_a += _round_half_up(r1 - r0)
+        left_a += _round_half_up(c1 - c0)
+        kept = crop_a[max(0, -top_a):max(0, height - top_a),
+                      max(0, -left_a):max(0, width - left_a)]
+        if kept.shape != crop_a.shape:
+            count_a = np.count_nonzero(kept)
+        # b's crop lies inside the frame, so the overlap of the two boxes does.
+        r_lo, r_hi = max(top_a, top_b), min(top_a + crop_a.shape[0], top_b + crop_b.shape[0])
+        c_lo, c_hi = max(left_a, left_b), min(left_a + crop_a.shape[1], left_b + crop_b.shape[1])
+        inter = 0
+        if r_lo < r_hi and c_lo < c_hi:
+            inter = np.count_nonzero(
+                crop_a[r_lo - top_a:r_hi - top_a, c_lo - left_a:c_hi - left_a]
+                & crop_b[r_lo - top_b:r_hi - top_b, c_lo - left_b:c_hi - left_b]
+            )
+        contributions.append(1.0 - inter / (count_a + count_b - inter))
     return fmean(contributions)
+
+
+def _bbox_union(a, b) -> tuple[slice, slice]:
+    """Slices spanning two ``mask_bbox`` results; empty when both are None."""
+    if a is None or b is None:
+        return a or b or (slice(0, 0), slice(0, 0))
+    return tuple(slice(min(x.start, y.start), max(x.stop, y.stop)) for x, y in zip(a, b))
 
 
 def evaluate_masks(
@@ -242,7 +262,12 @@ def evaluate_masks(
     gt: Mapping[int, Mask],
     tolerance: int | None = None,
 ) -> EvalReport:
-    """Full per-query mask evaluation over aligned frame sets."""
+    """Full per-query mask evaluation over aligned frame sets.
+
+    Every mask must have the same size.  J and F of a frame are computed on
+    the crop of both masks to the union of their bboxes, which gives the
+    full-frame values; the default tolerance comes from the frame size.
+    """
     if set(pred) != set(gt):
         missing = sorted(set(gt) - set(pred))
         extra = sorted(set(pred) - set(gt))
@@ -257,8 +282,19 @@ def evaluate_masks(
             raise ValueError(
                 f"mask dimensions differ at frame {f}: {pred[f].shape} vs {gt[f].shape}"
             )
-    j_series = [mask_iou(pred[f], gt[f]) for f in frames]
-    f_series = [boundary_f(pred[f], gt[f], tolerance) for f in frames]
+    for previous, f in zip(frames, frames[1:]):
+        if pred[f].shape != pred[previous].shape:
+            raise ValueError(
+                f"mask size changes between frames {previous} and {f}: "
+                f"{pred[previous].shape} vs {pred[f].shape}"
+            )
+    if tolerance is None:
+        tolerance = default_boundary_tolerance(*pred[frames[0]].shape)
+    j_series, f_series = [], []
+    for f in frames:
+        window = _bbox_union(mask_bbox(pred[f]), mask_bbox(gt[f]))
+        j_series.append(mask_iou(pred[f][window], gt[f][window]))
+        f_series.append(boundary_f(pred[f][window], gt[f][window], tolerance))
     j_stats = series_stats(j_series)
     f_stats = series_stats(f_series)
     if len(frames) >= 2:

@@ -432,6 +432,20 @@ class TestEvalCommand:
         )
         assert not out.exists()
 
+    def test_mask_size_change_between_frames_names_both_frames(self, tmp_path, capsys):
+        for root in ("pred", "gt"):
+            write_mask_tree(tmp_path / root, ("v", "1"), (1,), rasterize_box(Box(1, 1, 2, 2), 6, 4))
+            write_mask(tmp_path / root / "v" / "1" / "2.pbm", rasterize_box(Box(1, 1, 2, 5), 6, 8))
+        pred, gt, out = tmp_path / "pred", tmp_path / "gt", tmp_path / "report"
+        assert main([
+            "eval", "--pred-masks", str(pred), "--gt-masks", str(gt), "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {pred} vs {gt}: v/1: "
+            "mask size changes between frames 1 and 2: (4, 6) vs (8, 6)\n"
+        )
+        assert not out.exists()
+
     def test_unreadable_mask_file_is_named(self, tmp_path, capsys):
         root = tmp_path / "masks"
         (root / "v" / "1").mkdir(parents=True)

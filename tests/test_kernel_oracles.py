@@ -8,6 +8,9 @@ F's square dilation.
 """
 
 import math
+import os
+import tempfile
+from statistics import fmean
 
 import numpy as np
 import pytest
@@ -25,7 +28,11 @@ from trackref.geometry import (
     RleMask,
     pbm_dumps,
     pbm_loads,
+    read_mask,
+    rle_decode,
     rle_encode,
+    rle_line_dumps,
+    rle_line_loads,
     warp_mask,
 )
 from trackref.metrics import (
@@ -33,6 +40,8 @@ from trackref.metrics import (
     _square_dilation,
     boundary_f,
     default_boundary_tolerance,
+    evaluate_masks,
+    temporal_stability_proxy,
 )
 
 
@@ -79,6 +88,49 @@ def boundary_f_full_frame(pred, gt, tolerance):
 def centroid_by_nonzero(mask):
     rows, cols = np.nonzero(mask)
     return float(rows.mean()), float(cols.mean())
+
+
+def translate_full_frame(mask, dr, dc):
+    """Pixel-by-pixel integer shift; content shifted out of the frame is lost."""
+    height, width = mask.shape
+    out = np.zeros_like(mask)
+    for row, col in zip(*np.nonzero(mask)):
+        if 0 <= row + dr < height and 0 <= col + dc < width:
+            out[row + dr, col + dc] = True
+    return out
+
+
+def temporal_stability_proxy_full_frame(masks):
+    """The proxy on whole frames: shift each mask by the rounded centroid
+    difference, then take the full-frame IoU with the next mask."""
+    contributions = []
+    for current, following in zip(masks, masks[1:]):
+        if not current.any() or not following.any():
+            contributions.append(0.0 if current.any() == following.any() else 1.0)
+            continue
+        (r0, c0), (r1, c1) = centroid_by_nonzero(current), centroid_by_nonzero(following)
+        aligned = translate_full_frame(
+            current, math.floor(r1 - r0 + 0.5), math.floor(c1 - c0 + 0.5)
+        )
+        contributions.append(1.0 - mask_iou_full_frame(aligned, following))
+    return fmean(contributions)
+
+
+def evaluate_masks_full_frame(pred, gt, tolerance):
+    """Per-frame J and F on whole frames (the default tolerance from each
+    frame's size) and the full-frame proxy (0 for a single frame)."""
+    frames = sorted(gt)
+    j_series = tuple(mask_iou_full_frame(pred[f], gt[f]) for f in frames)
+    f_series = tuple(
+        boundary_f_full_frame(
+            pred[f], gt[f],
+            default_boundary_tolerance(*gt[f].shape) if tolerance is None else tolerance,
+        )
+        for f in frames
+    )
+    masks = [pred[f] for f in frames]
+    t_proxy = temporal_stability_proxy_full_frame(masks) if len(masks) > 1 else 0.0
+    return j_series, f_series, t_proxy
 
 
 def pbm_loads_by_tokens(text):
@@ -302,6 +354,84 @@ class TestCentroidOracle:
         assert _centroid(mask) == centroid_by_nonzero(mask)
 
 
+@st.composite
+def mask_sequences(draw, shape, length):
+    """Frames of one size: drawn masks (empty ones among them), empty,
+    one-pixel and border masks, and copies of the previous frame shifted by
+    up to the frame's size, so that content often leaves the frame."""
+    height, width = shape
+    frames = []
+    for _ in range(length):
+        kind = draw(st.sampled_from(["drawn", "empty", "pixel", "border", "shifted"]))
+        if kind == "shifted" and frames:
+            dr, dc = draw(st.integers(-height, height)), draw(st.integers(-width, width))
+            frames.append(translate_full_frame(frames[-1], dr, dc))
+        elif kind == "empty":
+            frames.append(np.zeros(shape, dtype=bool))
+        elif kind == "pixel":
+            mask = np.zeros(shape, dtype=bool)
+            mask[draw(st.sampled_from([0, height - 1]) | st.integers(0, height - 1)),
+                 draw(st.sampled_from([0, width - 1]) | st.integers(0, width - 1))] = True
+            frames.append(mask)
+        elif kind == "border":
+            frames.append(_border_frame(height, width))
+        else:
+            frames.append(draw(masks(shape=shape)))
+    return frames
+
+
+@st.composite
+def sequence_pairs(draw, min_length=1):
+    # Frames from 100 px square up have a default boundary tolerance of 2.
+    side = st.integers(100, 140) if draw(st.integers(0, 7)) == 0 else st.integers(1, 24)
+    shape = draw(side), draw(side)
+    length = draw(st.integers(min_length, 6))
+    return draw(mask_sequences(shape, length)), draw(mask_sequences(shape, length))
+
+
+# A border frame, then one pixel in its corner: the aligned border is shifted
+# by (-2, -4) and loses most of its pixels off the frame.
+_OFF_FRAME = [_border_frame(6, 9), _first_pixel_set(6, 9)]
+
+
+def _square(size, top, side):
+    mask = np.zeros((size, size), dtype=bool)
+    mask[top:top + side, top:top + side] = True
+    return mask
+
+
+# Boundaries 2 px apart: F is 1 under the 130 px frame's default tolerance of
+# 2, and less under the tolerance of 1 that the masks' 22 px bbox would give.
+_TWO_PX_APART = ([_square(130, 12, 20)], [_square(130, 10, 20)])
+
+
+class TestTemporalProxyOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(sequence_pairs(min_length=2).map(lambda pair: pair[0]))
+    @example(_OFF_FRAME)
+    @example([_first_pixel_set(5, 1), np.zeros((5, 1), dtype=bool), _border_frame(5, 1)])
+    @example([np.ones((3, 4), dtype=bool), np.eye(3, 4, 2, dtype=bool)])
+    def test_equals_full_frame(self, masks):
+        assert temporal_stability_proxy(masks) == temporal_stability_proxy_full_frame(masks)
+
+
+class TestEvaluateMasksOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(sequence_pairs(), st.none() | st.integers(0, 12))
+    @example((_OFF_FRAME, _OFF_FRAME[::-1]), None)
+    @example(_TWO_PX_APART, None)
+    @example(([np.zeros((4, 7), dtype=bool)] * 2, [_border_frame(4, 7)] * 2), 0)
+    def test_equals_full_frame(self, pair, tolerance):
+        pred_masks, gt_masks = pair
+        pred = dict(enumerate(pred_masks, start=1))
+        gt = dict(enumerate(gt_masks, start=1))
+        report = evaluate_masks(pred, gt, tolerance)
+        j_series, f_series, t_proxy = evaluate_masks_full_frame(pred, gt, tolerance)
+        assert report.j_series == j_series
+        assert report.f_series == f_series
+        assert report.t_proxy == t_proxy
+
+
 def _outcome(parse, text):
     try:
         return "mask", parse(text)
@@ -354,6 +484,115 @@ class TestPbmLoadsOracle:
     def test_round_trip_equals_tokenizer(self, mask):
         text = pbm_dumps(mask)
         assert np.array_equal(pbm_loads(text), pbm_loads_by_tokens(text))
+
+
+# ``int`` reads any Unicode decimal digit in a str; as a bit, or in the magic,
+# such a digit is a stray character.  Full-width, Arabic-Indic, Devanagari.
+_UNICODE_DIGITS = ["\uff10", "\uff11", "\uff12", "\u0661", "\u0662", "\u0968"]
+
+
+class TestPbmLoadsUnicodeDigits:
+    @settings(max_examples=250, deadline=None)
+    @given(st.tuples(
+        st.sampled_from(["P1 ", "P\uff11 "]),
+        st.lists(st.sampled_from(["0", "1", "2", "_", "#", " ", "\n", "\x1c", "\xa0",
+                                  "\u2028", "\u3000", "\xe9", *_UNICODE_DIGITS]),
+                 max_size=14).map("".join),
+    ).map("".join))
+    @example("P1 \uff12 1 1 0")
+    @example("P1 2 \u0661 1\u30000")
+    @example("P1 1_\uff10 1 " + "1" * 10)
+    @example("P1 1 1 \uff11")
+    @example("P\uff11 1 1 1")
+    def test_equals_tokenizer(self, text):
+        kind, value = _outcome(pbm_loads, text)
+        expected_kind, expected = _outcome(pbm_loads_by_tokens, text)
+        assert kind == expected_kind
+        if kind == "error":
+            assert value == expected
+        else:
+            assert value.dtype == expected.dtype and np.array_equal(value, expected)
+
+
+def _pieces(alphabet, **sizes):
+    return st.lists(st.sampled_from(alphabet), **sizes).map(b"".join)
+
+
+_SEPARATOR_BYTES = [b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c",
+                    b"\x1c", b"\x1d", b"\x1e", b"\x1f"]
+_LINE_END_BYTES = [b"\n", b"\r\n", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e"]
+# NUL and bytes that are not ASCII; 0x85 and 0xa0 are whitespace in Latin-1.
+_STRAY_BYTES = [b"\x00", b"\x80", b"\x85", b"\xa0", b"\xe9", b"\xff"]
+
+
+@st.composite
+def mask_files(draw):
+    """A .pbm or .rle file's bytes: a document whose gaps mix separators,
+    CR and CRLF line ends and (PBM) comments, sometimes with a stray byte
+    put anywhere; or loose bytes after the magic."""
+    suffix = draw(st.sampled_from([".pbm", ".rle"]))
+    if draw(st.integers(0, 3)) == 0:
+        magic = b"P1 " if suffix == ".pbm" else b"RLE "
+        loose = [b"0", b"1", b"2", b"#", b"x", *_SEPARATOR_BYTES, *_STRAY_BYTES]
+        return suffix, magic + draw(_pieces(loose, max_size=40))
+    separator = _pieces(_SEPARATOR_BYTES, min_size=1, max_size=3)
+    comment = st.tuples(
+        _pieces([b"0", b"1", b" ", b"#", b"x", b"\x1f", b"\t", *_STRAY_BYTES], max_size=6),
+        st.sampled_from(_LINE_END_BYTES),
+    ).map(lambda parts: b"#" + b"".join(parts))
+    gap = st.lists(separator | comment if suffix == ".pbm" else separator,
+                   min_size=1, max_size=3).map(b"".join)
+    mask = draw(masks(shape=(draw(st.integers(1, 4)), draw(st.integers(1, 4)))))
+    if suffix == ".pbm":
+        bits = pbm_dumps(mask).split(maxsplit=3)[3].replace("\n", " ").encode()
+        tokens = [b"P1", b"%d" % mask.shape[1], b"%d" % mask.shape[0], *bits.split()]
+    else:
+        tokens = rle_line_dumps(rle_encode(mask)).encode().split()
+    data = draw(gap).lstrip(b"\n") + b"".join(token + draw(gap) for token in tokens)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_STRAY_BYTES + [b"#", b"2"])) + data[at:]
+    return suffix, data
+
+
+def _read_decoded(path, data):
+    """What reading ``data`` from ``path`` must give: the file's ASCII text
+    parsed by the token oracle (PBM) or the RLE line parser, with errors
+    prefixed by the path; non-ASCII bytes give the ascii codec's error."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        return "error", f"{path}: {exc}"
+    if path.endswith(".pbm"):
+        kind, value = _outcome(pbm_loads_by_tokens, text)
+    else:
+        kind, value = _outcome(lambda line: rle_decode(rle_line_loads(line)), text)
+    return kind, f"{path}: {value}" if kind == "error" else value
+
+
+class TestReadMaskBytes:
+    @settings(max_examples=400, deadline=None)
+    @given(mask_files())
+    @example((".pbm", b"P1\x1c2\x1f1\x0b1\x0c0"))
+    @example((".pbm", b"P1\r\n# caf\xc3\xa9\r\n2 1\r\n1 0\r\n"))
+    @example((".pbm", b"P1 2 1\r1\x000"))
+    @example((".pbm", b"P1#\r2\x1d1 #\x1f\t1\x0c0"))
+    @example((".rle", b"RLE\r\n2 x\r\n1"))
+    @example((".rle", b"RLE 1 2\x1c0\x1f2\r\n"))
+    @example((".rle", b"RLE 1 2 0 2 \xff"))
+    def test_equals_decoded_text(self, case):
+        suffix, data = case
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "00001" + suffix)
+            with open(path, "wb") as handle:
+                handle.write(data)
+            kind, value = _outcome(read_mask, path)
+            expected_kind, expected = _read_decoded(path, data)
+        assert kind == expected_kind
+        if kind == "error":
+            assert value == expected
+        else:
+            assert value.dtype == expected.dtype and np.array_equal(value, expected)
 
 
 class TestRleEncodeOracle:

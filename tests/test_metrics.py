@@ -268,6 +268,14 @@ class TestTemporalStabilityProxy:
         with pytest.raises(ValueError):
             temporal_stability_proxy([empty_mask(4, 4)])
 
+    def test_each_pair_is_compared_at_its_own_size(self):
+        small, large = empty_mask(4, 6), empty_mask(8, 6)
+        small[1, 1] = large[6, 1] = True
+        # An empty frame between sizes is compared with neither shape.
+        assert temporal_stability_proxy([small, empty_mask(8, 6), large, large]) == 2 / 3
+        with pytest.raises(ValueError, match=r"mask dimensions differ: \(4, 6\) vs \(8, 6\)"):
+            temporal_stability_proxy([small, small, large])
+
 
 class TestEvaluateMasks:
     def _shape(self, offset):
@@ -311,6 +319,14 @@ class TestEvaluateMasks:
         gt = {1: self._shape(0), 2: self._shape(0)}
         with pytest.raises(ValueError, match="frame sets differ"):
             evaluate_masks({1: self._shape(0)}, gt)
+
+    def test_size_change_between_frames_names_both_frames(self):
+        small, large = empty_mask(4, 6), empty_mask(8, 6)
+        masks = {1: small, 2: small, 3: large}
+        with pytest.raises(ValueError, match=(
+            r"^mask size changes between frames 2 and 3: \(4, 6\) vs \(8, 6\)$"
+        )):
+            evaluate_masks(masks, dict(masks))
 
 
 class TestAucSuccess:
