@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -287,7 +288,10 @@ def cmd_simulate(args) -> int:
     for path in (boxes_path, proposals_path):
         digests[path] = _digest(path.read_bytes())
     # Every scene shares the ground-truth masks: each is encoded and hashed
-    # once, and its bytes are copied to the other scenes' paths.
+    # once into scene 000's file, and the other scenes' paths are hard links
+    # to it, or copies where the file system has no hard links.  Each path is
+    # unlinked first, so a re-run replaces a file and never writes through
+    # an inode that another name still shares.
     extension = ".pbm" if args.mask_format == "pbm" else ".rle"
     for query in sorted(gt.masks):
         mask_dirs = [out / "masks" / video / str(query) for video in videos]
@@ -295,12 +299,19 @@ def cmd_simulate(args) -> int:
             _ensure_dir(mask_dir)
         for frame in sorted(gt.masks[query]):
             name = f"{frame:05d}{extension}"
-            data = write_mask(mask_dirs[0] / name, gt.masks[query][frame])
+            first = mask_dirs[0] / name
+            first.unlink(missing_ok=True)
+            data = write_mask(first, gt.masks[query][frame])
             digest = _digest(data)
-            digests[mask_dirs[0] / name] = digest
+            digests[first] = digest
             for mask_dir in mask_dirs[1:]:
-                (mask_dir / name).write_bytes(data)
-                digests[mask_dir / name] = digest
+                path = mask_dir / name
+                path.unlink(missing_ok=True)
+                try:
+                    os.link(first, path)
+                except OSError:
+                    path.write_bytes(data)
+                digests[path] = digest
 
     manifest_lines = [f"{digests[path]}  {path.relative_to(out)}" for path in sorted(digests)]
     manifest = "\n".join(manifest_lines) + "\n"

@@ -1,12 +1,18 @@
+import contextlib
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trackref
 
@@ -153,6 +159,33 @@ def write_mask_tree(root, key, frames, mask):
     directory.mkdir(parents=True)
     for frame in frames:
         write_mask(directory / f"{frame:05d}.rle", mask)
+
+
+def tree_bytes(root):
+    """Every file under ``root`` by its path relative to ``root``, as bytes."""
+    return {
+        str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
+def no_hard_links(src, dst, **kwargs):
+    raise OSError(errno.EXDEV, "Invalid cross-device link", str(src), None, str(dst))
+
+
+@st.composite
+def scene_specs(draw):
+    """A scene spec of 1-6 frames and 1-2 objects whose first boxes lie in the frame."""
+    width, height = draw(st.integers(8, 40)), draw(st.integers(8, 40))
+    lines = [f"width = {width}", f"height = {height}",
+             f"num_frames = {draw(st.integers(1, 6))}"]
+    for index in range(1, draw(st.integers(1, 2)) + 1):
+        w, h = draw(st.integers(1, width)), draw(st.integers(1, height))
+        x, y = draw(st.integers(0, width - w)), draw(st.integers(0, height - h))
+        lines.append(f"object{index}.box = {x} {y} {w} {h}")
+        scale = draw(st.sampled_from(["1", "1.1", "0.9"]))
+        tx, ty = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        lines.append(f"object{index}.motion = {scale} 0 {tx} 0 {scale} {ty}")
+    return "\n".join(lines) + "\n"
 
 
 def run_with_src(args, **kwargs):
@@ -853,6 +886,94 @@ class TestSimulateCommand:
             assert sorted(str(p.relative_to(other)) for p in other.rglob("*.*")) == names
             for name in names:
                 assert (other / name).read_bytes() == (first / name).read_bytes()
+
+    def _simulate(self, scene, corrupt, out, *extra):
+        return main([
+            "simulate", "--scene", str(scene), "--corrupt", str(corrupt), "--out", str(out),
+            *extra,
+        ])
+
+    @pytest.mark.parametrize("mask_format", ["rle", "pbm"])
+    def test_scenes_mask_files_are_hard_links_to_scene_000(self, tmp_path, mask_format):
+        scene, corrupt = self._specs(tmp_path)
+        out = tmp_path / "out"
+        assert self._simulate(scene, corrupt, out, "--scenes", "3",
+                              "--mask-format", mask_format) == 0
+        first = out / "masks" / "scene_000"
+        names = sorted(p.relative_to(first) for p in first.rglob(f"*.{mask_format}"))
+        assert len(names) == 6
+        for name in names:
+            stat = (first / name).stat()
+            assert stat.st_nlink == 3
+            for scene_dir in ("scene_001", "scene_002"):
+                assert (out / "masks" / scene_dir / name).stat().st_ino == stat.st_ino
+
+    @pytest.mark.parametrize("mask_format", ["rle", "pbm"])
+    def test_without_hard_links_scenes_get_identical_copies(
+        self, tmp_path, monkeypatch, mask_format
+    ):
+        scene, corrupt = self._specs(tmp_path)
+        linked, copied = tmp_path / "linked", tmp_path / "copied"
+        args = ("--scenes", "3", "--mask-format", mask_format)
+        assert self._simulate(scene, corrupt, linked, *args) == 0
+        monkeypatch.setattr(os, "link", no_hard_links)
+        assert self._simulate(scene, corrupt, copied, *args) == 0
+        assert tree_bytes(copied) == tree_bytes(linked)
+        masks = list((copied / "masks").rglob(f"*.{mask_format}"))
+        assert len(masks) == 18
+        assert all(p.stat().st_nlink == 1 for p in masks)
+
+    def test_directory_at_a_mask_path_is_a_data_error(self, tmp_path, capsys):
+        scene, corrupt = self._specs(tmp_path)
+        out = tmp_path / "out"
+        blocker = out / "masks" / "scene_002" / "1" / "00003.rle"
+        blocker.mkdir(parents=True)
+        assert self._simulate(scene, corrupt, out, "--scenes", "3") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+
+    def test_rerun_replaces_mask_files_and_never_writes_through_them(self, tmp_path, capsys):
+        scene, corrupt = self._specs(tmp_path)
+        out = tmp_path / "out"
+        assert self._simulate(scene, corrupt, out, "--scenes", "3") == 0
+        outside = tmp_path / "kept.rle"
+        os.link(out / "masks" / "scene_000" / "1" / "00002.rle", outside)
+        kept = outside.read_bytes()
+        scene.write_text(SCENE_SPEC.replace("4 6 10 8", "9 3 12 12"))
+        assert self._simulate(scene, corrupt, out, "--scenes", "2") == 0
+        assert outside.read_bytes() == kept
+        fresh = tmp_path / "fresh"
+        assert self._simulate(scene, corrupt, fresh, "--scenes", "2") == 0
+        assert (out / "masks" / "scene_000" / "1" / "00002.rle").read_bytes() != kept
+        assert (out / "MANIFEST.txt").read_text() == (fresh / "MANIFEST.txt").read_text()
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=scene_specs(), scenes=st.integers(1, 4),
+           mask_format=st.sampled_from(["rle", "pbm"]))
+    def test_manifest_and_shared_masks_hold_for_any_scene(self, spec, scenes, mask_format):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            tmp = Path(tmp)
+            scene, corrupt = tmp / "scene.txt", tmp / "corrupt.txt"
+            scene.write_text(spec)
+            corrupt.write_text(CLEAN_CORRUPTION)
+            trees = []
+            for out, link in ((tmp / "linked", os.link), (tmp / "copied", no_hard_links)):
+                patch.setattr(os, "link", link)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert self._simulate(scene, corrupt, out, "--scenes", str(scenes),
+                                          "--mask-format", mask_format) == 0
+                files = tree_bytes(out)
+                trees.append(dict(files))
+                manifest = files.pop("MANIFEST.txt").decode()
+                listed = dict(line.split("  ")[::-1] for line in manifest.splitlines())
+                assert sorted(listed) == sorted(files)
+                for relative, digest in listed.items():
+                    assert digest == hashlib.sha256(files[relative]).hexdigest()
+                first = tree_bytes(out / "masks" / "scene_000")
+                assert first
+                for index in range(1, scenes):
+                    assert tree_bytes(out / "masks" / f"scene_{index:03d}") == first
+            assert trees[0] == trees[1]
 
     def test_pbm_format_option(self, tmp_path):
         scene, corrupt = self._specs(tmp_path)
