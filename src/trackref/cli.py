@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 data error.  Commands validate all
 inputs before writing anything, warnings go to stderr, and every random draw
 flows from the --seed flag through counter-based streams, so outputs are
-byte-identical for a given seed.  Every command runs serially; --jobs is
-still accepted for compatibility and has no effect, because no stage
-measured faster on threads.
+byte-identical for a given seed.  Every command runs serially; rerank, eval
+and simulate still accept --jobs for compatibility, and it has no effect,
+because no stage measured faster on threads.
 """
 
 from __future__ import annotations
@@ -70,19 +70,14 @@ def _read_proposals(path) -> dict[tuple[str, str], rerank.VideoProposals]:
     return videos
 
 
-def _rerank_scores(vp, args, source):
-    """``rerank.rerank_scores`` with the flags; errors name the input file."""
-    try:
-        return rerank.rerank_scores(vp, window=args.window, top_k=args.top_k)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from exc
-
-
 def cmd_rerank(args) -> int:
     videos = _read_proposals(args.proposals)
     scored, tracks, baselines = {}, {}, {}
     for key, vp in sorted(videos.items()):
-        scored[key] = _rerank_scores(vp, args, args.proposals)
+        try:
+            scored[key] = rerank.rerank_scores(vp, window=args.window, top_k=args.top_k)
+        except ValueError as exc:
+            raise ValueError(f"{args.proposals}: {exc}") from exc
         tracks[key] = rerank.select_track(scored[key])
         if args.raw:
             baselines[key] = rerank.raw_select(vp)
@@ -394,23 +389,13 @@ def cmd_stats(args) -> int:
 
 def cmd_oracle(args) -> int:
     gt = rerank.read_tracks(args.gt_boxes)
-    tracks: dict[tuple[str, str], rerank.Track] = {}
+    tracks = gt  # --oracle boxes: the ground-truth box is the answer in every frame
     if args.oracle == "grounding":
         if args.proposals is None:
             return _usage_error("--oracle grounding requires --proposals")
         videos = _read_proposals(args.proposals)
         _require_entries(gt, videos, f"ground-truth file {args.gt_boxes}", args.proposals)
-        for key in sorted(videos):
-            tracks[key] = rerank.oracle_assign(videos[key], gt[key].entries)
-    else:  # oracle box proposals: ground-truth boxes become the proposal pool
-        for key in sorted(gt):
-            proposals = [
-                rerank.Proposal(frame, box, 1.0, 1.0, 0)
-                for frame, box in sorted(gt[key].entries.items())
-            ]
-            vp = rerank.VideoProposals.from_proposals(key[0], key[1], proposals)
-            scored = _rerank_scores(vp, args, args.gt_boxes)
-            tracks[key] = rerank.select_track(scored)
+        tracks = {key: rerank.oracle_assign(videos[key], gt[key].entries) for key in videos}
 
     out = Path(args.out)
     _ensure_dir(out)
@@ -511,10 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=("grounding", "boxes"), required=True)
     p.add_argument("--proposals")
     p.add_argument("--gt-boxes", required=True)
-    p.add_argument("--window", type=_positive_int, default=None)
-    p.add_argument("--top-k", type=_positive_int, default=None)
     p.add_argument("--out", required=True)
-    _add_jobs(p)
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -200,10 +200,6 @@ def _object(mask: Mask) -> tuple[int, int, Mask, int, tuple[float, float]] | Non
     return rows.start, cols.start, crop, total, centroid
 
 
-def _centroid(mask: Mask) -> tuple[float, float]:
-    return _object(mask)[4]
-
-
 def _round_half_up(value: float) -> int:
     return int(math.floor(value + 0.5))
 

@@ -446,10 +446,9 @@ def read_tracks(path) -> dict[tuple[str, str], Track]:
         box = Box(x, y, w, h)
         if not 0 < w * h:
             raise ValueError(f"box area w * h is 0, got w={w}, h={h}")
-        key = (video, query)
-        track = tracks.setdefault(key, Track(video, query))
+        track = tracks.setdefault((video, query), Track(video, query))
         if frame in track.entries:
-            raise ValueError(f"duplicate frame {frame} for {key}")
+            raise ValueError(f"duplicate frame {frame} for {video}/{query}")
         track.entries[frame] = box
 
     read_jsonl(path, _TRACK_FIELDS, add)

@@ -51,7 +51,6 @@ class SceneSpec:
     height: int
     num_frames: int
     objects: tuple[ObjectSpec, ...]
-    background: AffineTransform
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -151,10 +150,10 @@ def _parse_affine(value: str, key: str) -> AffineTransform:
 def parse_scene_spec(text: str, path: str = "<scene spec>") -> SceneSpec:
     """Parse a scene spec file.
 
-    Recognized keys: ``width``, ``height``, ``num_frames``, ``background``
-    (six affine coefficients ``a b tx c d ty``), and per object
-    ``object<k>.box`` (``x y w h``) / ``object<k>.motion`` (affine), with k
-    counting from 1 and written in ASCII digits without a leading zero.
+    Recognized keys: ``width``, ``height``, ``num_frames``, and per object
+    ``object<k>.box`` (``x y w h``) / ``object<k>.motion`` (six affine
+    coefficients ``a b tx c d ty``), with k counting from 1 and written in
+    ASCII digits without a leading zero.  Any other key is an error.
     Random draws are keyed by the corruption spec's seed and ``--seed``, so
     a scene spec has no ``seed`` key.  Every error starts with ``path``, and
     an error about one key with ``path:line``.
@@ -162,15 +161,13 @@ def parse_scene_spec(text: str, path: str = "<scene spec>") -> SceneSpec:
     scalars = {"width": 1, "height": 1, "num_frames": 1}
     boxes: dict[int, Box] = {}
     motions: dict[int, tuple[int, AffineTransform]] = {}
-    background = identity = AffineTransform.identity()
+    identity = AffineTransform.identity()
     for key, (number, value) in _parse_kv(text, path).items():
         with _located(f"{path}:{number}"):
             if key in scalars:
                 scalars[key] = _convert(int, value, key)
                 if scalars[key] < 1:
                     raise ValueError(f"key {key!r} must be >= 1, got {scalars[key]}")
-            elif key == "background":
-                background = _parse_affine(value, key)
             elif key.startswith("object") and "." in key:
                 head, _, field = key.partition(".")
                 digits = head[len("object"):]
@@ -200,7 +197,6 @@ def parse_scene_spec(text: str, path: str = "<scene spec>") -> SceneSpec:
             objects=tuple(
                 ObjectSpec(boxes[i], motions[i][1] if i in motions else identity) for i in indices
             ),
-            background=background,
         )
 
 

@@ -82,7 +82,6 @@ def test_01_oracle_anchor(tmp_path):
                     Box(6 + v, 8, 14, 10),
                     AffineTransform.translation(1.0 if v % 2 else -0.25, 0.25),
                 ),),
-                background=AffineTransform.identity(),
             )
             gt = generate_scene(spec)
             for frame, box in sorted(gt.boxes[1].items()):
@@ -174,7 +173,6 @@ def test_04_coherence_improvement():
                 objects=(ObjectSpec(
                     Box(38, 25, 20, 14), AffineTransform.translation(dx, dy)
                 ),),
-                background=AffineTransform.identity(),
             )
             gt = generate_scene(spec)
             corruption = CorruptionSpec(

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trackref
@@ -204,6 +204,34 @@ def toy_proposals_file(tmp_path):
     path = tmp_path / "proposals.jsonl"
     write_jsonl(path, TOY_PROPOSALS)
     return path
+
+
+_coordinate = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**53), 2**53),
+    st.sampled_from([1e308, -1e308, 5e-324]),
+)
+_sides = st.tuples(*[st.one_of(
+    st.floats(min_value=5e-324, allow_infinity=False),
+    st.integers(1, 2**53),
+    st.sampled_from([1e308, 5e-324]),
+)] * 2).filter(lambda sides: sides[0] * sides[1] > 0)  # read_tracks rejects a zero area
+
+
+@st.composite
+def ground_truth_lines(draw):
+    """Ground-truth box records in any order: 1-3 keys, sparse and huge frame
+    ids, and boxes up to x = w = 1e308."""
+    lines = []
+    for video, query in draw(st.lists(st.tuples(st.text(max_size=3), st.text(max_size=3)),
+                                      min_size=1, max_size=3, unique=True)):
+        frames = draw(st.sets(st.one_of(st.integers(1, 6), st.sampled_from([2**31, 2**63, 10**30])),
+                              min_size=1, max_size=4))
+        for frame in frames:
+            w, h = draw(_sides)
+            lines.append({"video": video, "query": query, "frame": frame,
+                          "x": draw(_coordinate), "y": draw(_coordinate), "w": w, "h": h})
+    return draw(st.permutations(lines))
 
 
 class TestRerankCommand:
@@ -649,6 +677,17 @@ class TestRecordErrors:
         assert f"{gt}:2:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_track_frame_names_the_key(self, tmp_path, capsys):
+        gt = tmp_path / "gt.jsonl"
+        write_jsonl(gt, [self.GOOD_TRACK, {**self.GOOD_TRACK, "frame": 2}, self.GOOD_TRACK])
+        out = tmp_path / "report"
+        code = main([
+            "eval", "--pred-tracks", str(gt), "--gt-boxes", str(gt), "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {gt}:3: duplicate frame 3 for v/1\n"
+        assert not out.exists()
+
     def test_zero_area_proposal_box(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
         write_jsonl(path, [
@@ -794,6 +833,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("scene_text, where, message", [
         ("width = 48\nheigth = 32\n", ":2", "unknown scene spec key: 'heigth'"),
+        ("width = 48\nheight = 32\nobject1.box = 4 6 10 8\nbackground = 1 0 0 0 1 0\n", ":4",
+         "unknown scene spec key: 'background'"),
         ("width = 48\nheight = 32\nnum_frames = x\nobject1.box = 4 6 10 8\n", ":3",
          "key 'num_frames' expects an integer, got 'x'"),
         ("width = 48\nheight = 32\nnum_frames = 0\nobject1.box = 4 6 10 8\n", ":3",
@@ -1013,15 +1054,23 @@ class TestOracleAndPipeline:
         ]) == 0
         assert read_report(report_out)["aggregate"]["track_miou"] == 1.0
 
-    def test_oracle_boxes_non_finite_new_score_is_a_data_error(self, tmp_path, capsys):
-        # x + w overflows, so the IoU of the two boxes is NaN.
-        gt = tmp_path / "gt.jsonl"
-        box = Box(1e308, 0, 1e308, 10)
-        write_tracks(gt, {("v", "1"): Track("v", "1", {1: box, 2: box})})
-        out = tmp_path / "out"
-        assert main(["oracle", "--oracle", "boxes", "--gt-boxes", str(gt), "--out", str(out)]) == 2
-        assert f"error: {gt}: re-ranked score is not finite in v/1" in capsys.readouterr().err
-        assert not out.exists()
+    # x + w overflows here, so the IoU of the two boxes is NaN: the box
+    # oracle answers with them all the same, since it scores nothing.
+    @example(lines=[
+        {"video": "v", "query": "1", "frame": frame, "x": 1e308, "y": 0, "w": 1e308, "h": 10}
+        for frame in (1, 2)
+    ])
+    @settings(max_examples=100, deadline=None)
+    @given(lines=ground_truth_lines())
+    def test_oracle_boxes_writes_the_ground_truth(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            gt, expected, out = Path(tmp, "gt.jsonl"), Path(tmp, "expected.jsonl"), Path(tmp, "o")
+            write_jsonl(gt, lines)
+            write_tracks(expected, read_tracks(gt))
+            assert main([
+                "oracle", "--oracle", "boxes", "--gt-boxes", str(gt), "--out", str(out),
+            ]) == 0
+            assert (out / "tracks.jsonl").read_bytes() == expected.read_bytes()
 
     def test_oracle_grounding_assigns_best_overlap(self, tmp_path):
         proposals = tmp_path / "proposals.jsonl"
@@ -1218,8 +1267,9 @@ class TestUsageErrors:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--window", "--top-k"])
-    @pytest.mark.parametrize("value", ["0", "-2"])
+    # oracle takes none of these options, whatever the value.
+    @pytest.mark.parametrize("flag", ["--window", "--top-k", "--jobs"])
+    @pytest.mark.parametrize("value", ["0", "-2", "1"])
     def test_oracle_rejects_non_positive_window_and_top_k(self, tmp_path, capsys, flag, value):
         gt = tmp_path / "gt.jsonl"
         write_tracks(gt, {("v", "1"): Track("v", "1", {1: Box(0, 0, 4, 4), 2: Box(1, 0, 4, 4)})})

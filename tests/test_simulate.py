@@ -30,7 +30,6 @@ SCENE_TEXT = """
 width = 48
 height = 32
 num_frames = 6
-background = 1 0 0 0 1 0
 object1.box = 4 6 10 8
 object1.motion = 1 0 2 0 1 0
 """
@@ -46,9 +45,11 @@ class TestSpecFiles:
     def test_unknown_key_named(self):
         with pytest.raises(ValueError, match="speed"):
             parse_scene_spec("width = 4\nheight = 4\nnum_frames = 1\nobject1.box = 0 0 2 2\nspeed = 9\n")
-        # Draws are keyed by the corruption spec's seed; a scene has none.
-        with pytest.raises(ValueError, match="unknown scene spec key: 'seed'"):
-            parse_scene_spec("width = 4\nheight = 4\nnum_frames = 1\nobject1.box = 0 0 2 2\nseed = 3\n")
+        # Draws are keyed by the corruption spec's seed, and no code moves the
+        # background: a scene has neither key.
+        for line in ("seed = 3", "background = 1 0 0 0 1 0"):
+            with pytest.raises(ValueError, match=f"unknown scene spec key: '{line.split()[0]}'"):
+                parse_scene_spec(f"width = 4\nheight = 4\nnum_frames = 1\nobject1.box = 0 0 2 2\n{line}\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -236,7 +237,6 @@ def _static_scene(num_frames=4):
     return SceneSpec(
         width=32, height=24, num_frames=num_frames,
         objects=(ObjectSpec(Box(4, 5, 8, 6), AffineTransform.identity()),),
-        background=AffineTransform.identity(),
     )
 
 
@@ -244,7 +244,6 @@ def _moving_scene(dx=2.0, num_frames=8):
     return SceneSpec(
         width=48, height=24, num_frames=num_frames,
         objects=(ObjectSpec(Box(2, 6, 10, 8), AffineTransform.translation(dx, 0)),),
-        background=AffineTransform.identity(),
     )
 
 
@@ -278,7 +277,6 @@ class TestGenerateScene:
             SceneSpec(
                 width=8, height=8, num_frames=1,
                 objects=(ObjectSpec(Box(6, 6, 4, 4), AffineTransform.identity()),),
-                background=AffineTransform.identity(),
             )
 
 
@@ -308,7 +306,6 @@ class TestGenerateProposals:
                 ObjectSpec(Box(2, 2, 8, 8), AffineTransform.translation(1, 0)),
                 ObjectSpec(Box(30, 18, 10, 10), AffineTransform.identity()),
             ),
-            background=AffineTransform.identity(),
         )
         gt = generate_scene(spec)
         proposals = generate_proposals(gt, CorruptionSpec(2, 0.02, 0.0, 0.05, seed=2), "vid")
