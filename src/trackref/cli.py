@@ -21,6 +21,7 @@ from statistics import fmean
 
 from . import expressions, metrics, rerank, simulate
 from .geometry import Mask, read_mask, write_mask
+from .jsonl import located
 from .reports import render_json, render_text, round4
 from .rng import SplitRng
 
@@ -49,6 +50,18 @@ def _usage_error(message: str) -> int:
     return 1
 
 
+def _write_report(out, stem: str, pairs, document) -> None:
+    """Print the text report; with ``out``, also write it to ``<stem>.txt``
+    and the document to ``<stem>.json`` there."""
+    text = render_text(pairs)
+    sys.stdout.write(text)
+    if out is not None:
+        out = Path(out)
+        _ensure_dir(out)
+        (out / f"{stem}.txt").write_text(text, encoding="utf-8")
+        (out / f"{stem}.json").write_text(render_json(document), encoding="utf-8")
+
+
 def _require_entries(available, wanted, holder: str, source) -> None:
     """Abort naming every (video, query) key of ``wanted`` not in ``available``."""
     missing = sorted(set(wanted) - set(available))
@@ -74,10 +87,8 @@ def cmd_rerank(args) -> int:
     videos = _read_proposals(args.proposals)
     scored, tracks, baselines = {}, {}, {}
     for key, vp in sorted(videos.items()):
-        try:
+        with located(args.proposals):
             scored[key] = rerank.rerank_scores(vp, window=args.window, top_k=args.top_k)
-        except ValueError as exc:
-            raise ValueError(f"{args.proposals}: {exc}") from exc
         tracks[key] = rerank.select_track(scored[key])
         if args.raw:
             baselines[key] = rerank.raw_select(vp)
@@ -132,12 +143,8 @@ def _eval_boxes(args):
     reports = {}
     for key in sorted(gt):
         track = pred.get(key, rerank.Track(key[0], key[1]))
-        try:
+        with located(f"{args.pred_tracks} vs {args.gt_boxes}: {key[0]}/{key[1]}"):
             series = metrics.track_iou_series(track, gt[key].entries)
-        except ValueError as exc:
-            raise ValueError(
-                f"{args.pred_tracks} vs {args.gt_boxes}: {key[0]}/{key[1]}: {exc}"
-            ) from exc
         reports[key] = {
             "track_miou": round4(fmean(series)),
             "auc": round4(metrics.auc_success(series)),
@@ -160,14 +167,10 @@ def _eval_masks(args):
                 f"predicted mask tree {args.pred_masks} has no masks for "
                 f"{key[0]}/{key[1]} frames {absent} (from {args.gt_masks})"
             )
-        try:
+        with located(f"{args.pred_masks} vs {args.gt_masks}: {key[0]}/{key[1]}"):
             report = metrics.evaluate_masks(
                 {f: pred_frames[f] for f in gt_frames}, gt_frames, tolerance=args.f_tol
             )
-        except ValueError as exc:
-            raise ValueError(
-                f"{args.pred_masks} vs {args.gt_masks}: {key[0]}/{key[1]}: {exc}"
-            ) from exc
         reports[key] = {name: round4(getattr(report, name)) for name in _MASK_METRICS}
     return reports
 
@@ -228,13 +231,7 @@ def cmd_eval(args) -> int:
         if mask_reports:
             _breakdown_section(pairs, document, "jf", mask_reports, attrs)
 
-    text = render_text(pairs)
-    sys.stdout.write(text)
-    if args.out is not None:
-        out = Path(args.out)
-        _ensure_dir(out)
-        (out / "report.txt").write_text(text, encoding="utf-8")
-        (out / "report.json").write_text(render_json(document), encoding="utf-8")
+    _write_report(args.out, "report", pairs, document)
     return 0
 
 
@@ -248,17 +245,16 @@ def _digest(data: bytes) -> str:
 
 def _read_spec(parse, path):
     """``parse(text, path)`` of the spec file; a file that is not UTF-8 is named."""
-    try:
+    with located(path):
         text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     return parse(text, path)
 
 
 def cmd_simulate(args) -> int:
     scene_spec = _read_spec(simulate.parse_scene_spec, args.scene)
     corruption = _read_spec(simulate.parse_corruption_spec, args.corrupt)
-    gt = simulate.generate_scene(scene_spec)
+    with located(args.scene):
+        gt = simulate.generate_scene(scene_spec)
     # Every scene shares the ground truth: one read-only entry dict per query.
     gt_entries = {
         str(query): {frame: box for frame, box in boxes.items() if box is not None}
@@ -372,14 +368,9 @@ def cmd_stats(args) -> int:
             pairs.append((f"group/{annotation_type}/{name}", value))
         document["groups"][annotation_type] = entry
 
-    text = render_text(pairs)
-    sys.stdout.write(text)
+    _write_report(args.out, "stats", pairs, document)
     if args.out is not None:
-        out = Path(args.out)
-        _ensure_dir(out)
-        (out / "stats.txt").write_text(text, encoding="utf-8")
-        (out / "stats.json").write_text(render_json(document), encoding="utf-8")
-        expressions.write_attributes(out / "attributes.jsonl", tagged)
+        expressions.write_attributes(Path(args.out) / "attributes.jsonl", tagged)
     return 0
 
 
@@ -395,7 +386,8 @@ def cmd_oracle(args) -> int:
             return _usage_error("--oracle grounding requires --proposals")
         videos = _read_proposals(args.proposals)
         _require_entries(gt, videos, f"ground-truth file {args.gt_boxes}", args.proposals)
-        tracks = {key: rerank.oracle_assign(videos[key], gt[key].entries) for key in videos}
+        with located(f"{args.proposals} vs {args.gt_boxes}"):
+            tracks = {key: rerank.oracle_assign(videos[key], gt[key].entries) for key in videos}
 
     out = Path(args.out)
     _ensure_dir(out)

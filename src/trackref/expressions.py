@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from statistics import fmean
 
-from .jsonl import FLAG, FLAG_OR_NULL, NAME, read_jsonl
+from .jsonl import FLAG, FLAG_OR_NULL, NAME, located, read_jsonl
 from .metrics import QueryAttributes
 
 ANNOTATION_TYPES = ("first_frame", "full_video")
@@ -77,14 +77,11 @@ def tokenize(text: str) -> list[str]:
 def load_word_list(path) -> frozenset[str]:
     """One word per line, lowercased; blank lines and # comments ignored."""
     words = set()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                word = line.split("#", 1)[0].strip().lower()
-                if word:
-                    words.add(word)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with located(path), open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            word = line.split("#", 1)[0].strip().lower()
+            if word:
+                words.add(word)
     return frozenset(words)
 
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonl import located
+
 Mask = np.ndarray  # 2-D bool array, shape (height, width)
 
 
@@ -408,19 +410,13 @@ _PBM_TOKEN = rb"([^%s#]+)" % _SPACE
 _PBM_HEADER = re.compile(_PBM_GAP + b"*P1" + (_PBM_GAP + b"+" + _PBM_TOKEN) * 2)
 
 
-def _pbm_parse(data: bytes, text: str | None = None) -> Mask:
-    """Parse an ASCII PBM document given as bytes.
-
-    ``text``, when given, is the same document with one character per byte
-    of ``data``; the width and height are read from it, since ``int``
-    accepts any Unicode decimal digits in a ``str``.
-    """
+def _pbm_parse(data: bytes) -> Mask:
+    """Parse an ASCII PBM document given as bytes."""
     header = _PBM_HEADER.match(data)
     if header is None:
         raise ValueError("not an ASCII PBM document (missing P1 header)")
-    source = data if text is None else text
     try:
-        width, height = (int(source[header.start(g):header.end(g)]) for g in (1, 2))
+        width, height = (int(data[header.start(g):header.end(g)]) for g in (1, 2))
     except ValueError as exc:
         raise ValueError("malformed PBM dimensions") from exc
     if width < 1 or height < 1:
@@ -442,22 +438,11 @@ def _pbm_parse(data: bytes, text: str | None = None) -> Mask:
 def pbm_loads(text: str) -> Mask:
     """Parse ASCII PBM; accepts packed or whitespace-separated bits and comments.
 
-    The text goes to the parser of ``read_mask`` with each non-ASCII
-    character as one byte: a line end as ``\\n``, other whitespace as a
-    space, anything else as ``?`` (neither a bit nor whitespace).  Width and
-    height are read by ``int`` from the text itself, so they may be written
-    in any Unicode decimal digits.
+    The text goes to the parser of ``read_mask`` as its ASCII bytes.  A
+    non-ASCII character raises the ``ascii`` codec's error (a ValueError),
+    as a non-ASCII byte in a mask file does.
     """
-    if text.isascii():
-        return _pbm_parse(text.encode("ascii"))
-    data = "".join(
-        char if char.isascii()
-        else "\n" if char in "\x85\u2028\u2029"
-        else " " if char.isspace()
-        else "?"
-        for char in text
-    )
-    return _pbm_parse(data.encode("ascii"), text)
+    return _pbm_parse(text.encode("ascii"))
 
 
 def write_mask(path, mask: Mask) -> bytes:
@@ -484,7 +469,7 @@ def read_mask(path) -> Mask:
     path = str(path)
     if not path.endswith((".pbm", ".rle")):
         raise ValueError(f"unsupported mask file extension: {path}")
-    try:
+    with located(path):
         with open(path, "rb") as handle:
             data = handle.read()
         if not data.isascii():
@@ -492,5 +477,3 @@ def read_mask(path) -> Mask:
         if path.endswith(".pbm"):
             return _pbm_parse(data)
         return rle_decode(rle_line_loads(data.decode("ascii")))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

@@ -1,4 +1,4 @@
-"""The one strict reader behind every JSON Lines input.
+"""The one strict reader behind every JSON Lines input, and :func:`located`.
 
 Proposals, tracks, the referring-expression corpus and its attribute tags
 are read by :func:`read_jsonl`: the only code that parses their lines and
@@ -6,13 +6,29 @@ checks their fields.  Every error it raises, the record builder's included,
 starts with ``path:line``.  A schema maps each field name to a kind, which
 accepts values by their exact type after ``json.loads`` (a bool is never an
 integer or a number, a string never a number) and converts a few of them.
+
+Every other data error gets its source from :func:`located`, the one helper
+that puts it in front of the message.  ``read_jsonl`` keeps its own ``try``
+per line, because a ``with located(...)`` costs about 40 times as much (2.3
+against 0.05 microseconds on a 2-CPU Xeon) and it runs once per record.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from operator import itemgetter
 from typing import NamedTuple
+
+
+@contextmanager
+def located(where: str):
+    """Prefix a ValueError (a UnicodeDecodeError too) raised inside the block
+    with ``where: ``; any other exception, an OSError say, passes unchanged."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 class Kind(NamedTuple):

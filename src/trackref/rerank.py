@@ -316,11 +316,13 @@ def raw_select(vp: VideoProposals) -> Track:
     return _track(vp, vp.frame_ids, best)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite overlaps raise below
 def oracle_assign(vp: VideoProposals, gt_boxes: dict[int, Box | None]) -> Track:
     """Per frame, the proposal box with the highest ground-truth overlap.
 
     Frames without a ground-truth box or without proposals get no entry.
-    Ties (including all-zero overlap) go to the lowest proposal id.
+    Ties (including all-zero overlap) go to the lowest proposal id.  An
+    overlap that is not finite (boxes of side 1e308, say) raises ValueError.
     """
     truth = [gt_boxes.get(frame) for frame in vp.frame_ids]
     known = [box is not None for box in truth]
@@ -331,6 +333,7 @@ def oracle_assign(vp: VideoProposals, gt_boxes: dict[int, Box | None]) -> Track:
     iy = np.minimum(y + h, gy + gh) - np.maximum(y, gy)
     inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
     overlap = np.where((ix <= 0) | (iy <= 0), 0.0, inter / (w * h + gw * gh - inter))
+    _require_finite(vp, overlap, "ground-truth IoU")
     best = _best_first(vp, overlap)[vp.frame_starts()[known]]
     return _track(vp, compress(vp.frame_ids, known), best)
 

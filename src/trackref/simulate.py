@@ -18,7 +18,6 @@ stack (RGB + flow magnitude + box interior).
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .geometry import (
     rasterize_box,
     warp_mask,
 )
+from .jsonl import located
 from .rerank import VideoProposals
 from .rng import SplitRng, box_muller, scale_unit
 
@@ -99,15 +99,6 @@ class SceneGroundTruth:
 # Spec files: flat "key = value" lines with # comments
 # ---------------------------------------------------------------------------
 
-@contextmanager
-def _located(where: str):
-    """Prefix a ValueError raised inside the block with ``where``."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
 def _parse_kv(text: str, path: str = "<spec>") -> dict[str, tuple[int, str]]:
     """``{key: (line number, value)}`` of the ``key = value`` lines."""
     entries: dict[str, tuple[int, str]] = {}
@@ -163,7 +154,7 @@ def parse_scene_spec(text: str, path: str = "<scene spec>") -> SceneSpec:
     motions: dict[int, tuple[int, AffineTransform]] = {}
     identity = AffineTransform.identity()
     for key, (number, value) in _parse_kv(text, path).items():
-        with _located(f"{path}:{number}"):
+        with located(f"{path}:{number}"):
             if key in scalars:
                 scalars[key] = _convert(int, value, key)
                 if scalars[key] < 1:
@@ -186,7 +177,7 @@ def parse_scene_spec(text: str, path: str = "<scene spec>") -> SceneSpec:
     for index, (number, _) in sorted(motions.items()):
         if index not in boxes:
             raise ValueError(f"{path}:{number}: motion given for undefined object {index}")
-    with _located(path):
+    with located(path):
         if not boxes:
             raise ValueError("scene spec defines no objects")
         indices = sorted(boxes)
@@ -213,7 +204,7 @@ def parse_corruption_spec(text: str, path: str = "<corruption spec>") -> Corrupt
     """Parse a corruption spec file; every error starts with ``path:line``."""
     kwargs = {}
     for key, (number, value) in _parse_kv(text, path).items():
-        with _located(f"{path}:{number}"):
+        with located(f"{path}:{number}"):
             if key not in _CORRUPTION_KEYS:
                 raise ValueError(f"unknown corruption spec key: {key!r}")
             kwargs[key] = _convert(_CORRUPTION_KEYS[key], value, key)
@@ -332,7 +323,9 @@ def generate_scene(spec: SceneSpec) -> SceneGroundTruth:
 
     Frame t carries the initial rectangle warped by the object's motion
     composed t-1 times (composition, not repeated warping, so rounding does
-    not accumulate).  Objects that leave the image get a None box.
+    not accumulate).  Objects that leave the image get a None box.  A
+    transform that is not invertible at a rendered frame raises ValueError
+    starting ``object <k>, frame <t>``.
     """
     masks: dict[int, dict[int, Mask]] = {}
     boxes: dict[int, dict[int, Box | None]] = {}
@@ -342,10 +335,13 @@ def generate_scene(spec: SceneSpec) -> SceneGroundTruth:
         per_frame_boxes: dict[int, Box | None] = {}
         transform = AffineTransform.identity()
         for frame in range(1, spec.num_frames + 1):
-            mask = base if frame == 1 else warp_mask(base, transform)
+            mask = base
+            if frame > 1:
+                with located(f"object {index}, frame {frame}"):
+                    transform = obj.motion.compose(transform)
+                    mask = warp_mask(base, transform)
             per_frame_masks[frame] = mask
             per_frame_boxes[frame] = box_from_mask(mask)
-            transform = obj.motion.compose(transform)
         masks[index] = per_frame_masks
         boxes[index] = per_frame_boxes
     return SceneGroundTruth(spec.width, spec.height, spec.num_frames, masks, boxes)

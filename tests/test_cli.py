@@ -893,6 +893,35 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"error: {corrupt}{where}: {message}\n"
         assert not out.exists()
 
+    def test_shrinking_scene_renders_every_frame_it_can(self, tmp_path, capsys):
+        # The 20-frame scene needs the motion composed 19 times, determinant
+        # 0.25 ** 19 ~ 3.6e-12; the 21st frame needs 0.25 ** 20 ~ 9.1e-13, below
+        # the 1e-12 floor.  Nothing is composed for a frame that is not rendered.
+        scene, corrupt = self._specs(tmp_path)
+        text = "width = 48\nheight = 32\nnum_frames = {}\nobject1.box = 4 6 40 24\n" \
+               "object1.motion = 0.5 0 0 0 0.5 0\n"
+        scene.write_text(text.format(20))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scene", str(scene), "--corrupt", str(corrupt),
+                     "--out", str(out)]) == 0
+        manifest = (out / "MANIFEST.txt").read_text()
+        assert manifest == capsys.readouterr().out
+        listed = [line.split("  ") for line in manifest.splitlines()]
+        assert len(listed) == 22  # gt_boxes, proposals and 20 masks
+        for digest, relative in listed:
+            assert digest == hashlib.sha256((out / relative).read_bytes()).hexdigest()
+        assert (out / "masks" / "scene_000" / "1" / "00020.rle").exists()
+
+        scene.write_text(text.format(21))
+        out = tmp_path / "out21"
+        assert main(["simulate", "--scene", str(scene), "--corrupt", str(corrupt),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {scene}: object 1, frame 21: "
+            "affine transform is not invertible (determinant ~ 0)\n"
+        )
+        assert not out.exists()
+
     def test_spec_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
         scene, corrupt = self._specs(tmp_path)
         corrupt.write_bytes(b"seed = 5 # \xff\n")
@@ -1088,6 +1117,31 @@ class TestOracleAndPipeline:
         assert tracks[("vid", "q")].entries == {
             1: Box(20, 0, 10, 10), 2: Box(20, 0, 10, 10),
         }
+
+    def test_oracle_grounding_non_finite_overlap_is_a_data_error(self, tmp_path, capsys, recwarn):
+        # x + w overflows, so the ground-truth IoU of the identical box is NaN.
+        gt = tmp_path / "gt.jsonl"
+        write_jsonl(gt, [{"video": "v", "query": "1", "frame": 1,
+                          "x": 1e308, "y": 0, "w": 1e308, "h": 5}])
+        proposals = tmp_path / "props.jsonl"
+        write_jsonl(proposals, [
+            {"video": "v", "query": "1", "frame": 1, "id": 0, "x": 1e308, "y": 0,
+             "w": 1e308, "h": 5, "score": 0.5, "objectness": 0.5},
+            {"video": "v", "query": "1", "frame": 1, "id": 1, "x": 0, "y": 0,
+             "w": 5, "h": 5, "score": 0.5, "objectness": 0.5},
+        ])
+        out = tmp_path / "out"
+        assert main([
+            "oracle", "--oracle", "grounding", "--proposals", str(proposals),
+            "--gt-boxes", str(gt), "--out", str(out),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {proposals} vs {gt}: ground-truth IoU is not finite in v/1, frame 1, id 0\n"
+        )
+        assert captured.out == ""
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+        assert not out.exists()
 
     def test_oracle_grounding_requires_proposals(self, tmp_path):
         gt = tmp_path / "gt.jsonl"

@@ -1,4 +1,4 @@
-"""The shared JSON Lines reader and the four readers built on it.
+"""The shared JSON Lines reader, the four readers built on it, and ``located``.
 
 Regression tests pin each coercion the hand-rolled readers used to make, and
 hypothesis feeds every reader, and the CLI commands that use them, lines
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from trackref.cli import main
 from trackref.expressions import read_attributes, read_corpus
-from trackref.jsonl import FLAG, FLAG_OR_NULL, INTEGER, NAME, NUMBER, read_jsonl
+from trackref.jsonl import FLAG, FLAG_OR_NULL, INTEGER, NAME, NUMBER, located, read_jsonl
 from trackref.rerank import read_proposals, read_tracks
 
 GOOD_PROPOSAL = {
@@ -128,6 +128,36 @@ class TestReadJsonl:
         path = tmp_path / "a.jsonl"
         write_lines(path, {"name": "abc", "extra": 1}, {"name": 12, "other": None})
         assert collect(path, {"name": NAME}) == ([("abc",), ("12",)], {"extra", "other"})
+
+
+class TestLocated:
+    def test_value_error_gets_the_prefix(self):
+        with pytest.raises(ValueError) as caught:
+            with located("scene.txt: object 1, frame 3"):
+                raise ValueError("affine transform is not invertible")
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == (
+            "scene.txt: object 1, frame 3: affine transform is not invertible"
+        )
+
+    def test_unicode_decode_error_gets_the_prefix(self):
+        try:
+            b"ok \xff".decode("utf-8")
+        except UnicodeDecodeError as exc:
+            message = str(exc)
+        with pytest.raises(ValueError) as caught:
+            with located("words.txt"):
+                b"ok \xff".decode("utf-8")
+        assert str(caught.value) == f"words.txt: {message}"
+
+    @pytest.mark.parametrize("error", [
+        FileNotFoundError(2, "No such file or directory", "a.txt"), KeyError("a"),
+    ])
+    def test_other_errors_pass_through_unchanged(self, error):
+        with pytest.raises(type(error)) as caught:
+            with located("a.txt"):
+                raise error
+        assert caught.value is error
 
 
 class TestCoercionsRejected:

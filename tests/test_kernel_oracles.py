@@ -463,6 +463,16 @@ def pbm_texts(draw):
     return draw(gap).lstrip("\n") + "".join(p + draw(gap) for p in parts)
 
 
+def _loads_encoded(text):
+    """What ``pbm_loads(text)`` must give: the token oracle's result on
+    ASCII text; a non-ASCII character gives the ascii codec's error."""
+    try:
+        text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        return "error", str(exc)
+    return _outcome(pbm_loads_by_tokens, text)
+
+
 class TestPbmLoadsOracle:
     @settings(max_examples=250, deadline=None)
     @given(pbm_texts())
@@ -473,7 +483,7 @@ class TestPbmLoadsOracle:
     @example("P1 +2 1_0 " + "1" * 20)
     def test_equals_tokenizer(self, text):
         kind, value = _outcome(pbm_loads, text)
-        expected_kind, expected = _outcome(pbm_loads_by_tokens, text)
+        expected_kind, expected = _loads_encoded(text)
         assert kind == expected_kind
         if kind == "error":
             assert value == expected
@@ -484,34 +494,6 @@ class TestPbmLoadsOracle:
     def test_round_trip_equals_tokenizer(self, mask):
         text = pbm_dumps(mask)
         assert np.array_equal(pbm_loads(text), pbm_loads_by_tokens(text))
-
-
-# ``int`` reads any Unicode decimal digit in a str; as a bit, or in the magic,
-# such a digit is a stray character.  Full-width, Arabic-Indic, Devanagari.
-_UNICODE_DIGITS = ["\uff10", "\uff11", "\uff12", "\u0661", "\u0662", "\u0968"]
-
-
-class TestPbmLoadsUnicodeDigits:
-    @settings(max_examples=250, deadline=None)
-    @given(st.tuples(
-        st.sampled_from(["P1 ", "P\uff11 "]),
-        st.lists(st.sampled_from(["0", "1", "2", "_", "#", " ", "\n", "\x1c", "\xa0",
-                                  "\u2028", "\u3000", "\xe9", *_UNICODE_DIGITS]),
-                 max_size=14).map("".join),
-    ).map("".join))
-    @example("P1 \uff12 1 1 0")
-    @example("P1 2 \u0661 1\u30000")
-    @example("P1 1_\uff10 1 " + "1" * 10)
-    @example("P1 1 1 \uff11")
-    @example("P\uff11 1 1 1")
-    def test_equals_tokenizer(self, text):
-        kind, value = _outcome(pbm_loads, text)
-        expected_kind, expected = _outcome(pbm_loads_by_tokens, text)
-        assert kind == expected_kind
-        if kind == "error":
-            assert value == expected
-        else:
-            assert value.dtype == expected.dtype and np.array_equal(value, expected)
 
 
 def _pieces(alphabet, **sizes):
