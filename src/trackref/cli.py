@@ -324,9 +324,10 @@ def cmd_jitter(args) -> int:
         entries = {}
         for frame in sorted(track.entries):
             rng = root.child(key[0], key[1], frame)
-            entries[frame] = simulate.jitter_box(
-                track.entries[frame], args.fraction, rng, args.width, args.height
-            )
+            with located(f"{args.gt_boxes}: {key[0]}/{key[1]}, frame {frame}"):
+                entries[frame] = simulate.jitter_box(
+                    track.entries[frame], args.fraction, rng, args.width, args.height
+                )
         jittered[key] = rerank.Track(key[0], key[1], entries)
     out = Path(args.out)
     _ensure_dir(out)

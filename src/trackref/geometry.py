@@ -39,6 +39,8 @@ class Box:
                 raise ValueError(f"box field {name} is not finite")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
+        if self.w * self.h == 0:  # positive sides whose product underflows
+            raise ValueError(f"box area w * h is 0, got w={self.w}, h={self.h}")
 
     @property
     def area(self) -> float:
@@ -201,11 +203,6 @@ def rasterize_box(box: Box, width: int, height: int) -> Mask:
     return np.logical_and.outer(in_y, in_x)
 
 
-def _round_half_up(values: np.ndarray) -> np.ndarray:
-    # Ties round towards +inf on both axes so inverse warps leave no holes.
-    return np.floor(values + 0.5).astype(np.int64)
-
-
 def _warp_window(
     inv: AffineTransform, source: tuple[slice, slice], height: int, width: int
 ) -> tuple[int, int, int, int]:
@@ -272,6 +269,7 @@ def _warp_window(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite indices fail the in-frame test
 def warp_mask(mask: Mask, transform: AffineTransform) -> Mask:
     """Warp a mask by an affine transform using inverse nearest-neighbor mapping.
 
@@ -290,10 +288,12 @@ def warp_mask(mask: Mask, transform: AffineTransform) -> Mask:
     ``col`` alone and the source row on ``row`` alone: they are computed on
     the window's columns and rows, adding ``fl(b*row0)`` and ``fl(c*col0)``
     so that every rounding is the general path's.  The window is then one
-    gather of source rows followed by one of source columns (indices
-    clipped into the frame, out-of-frame rows and columns cleared after).
+    gather of source rows followed by one of source columns (out-of-frame
+    indices replaced by 0, and their rows and columns cleared after).
     The general path broadcasts 1-D products, which gives the same
-    roundings as a full grid.
+    roundings as a full grid.  Ties round towards +inf, so inverse warps
+    leave no holes.  Indices stay floats through the in-frame test and only
+    in-frame ones are cast, so a huge or NaN index is just out of frame.
     """
     height, width = mask.shape
     inv = transform.inverse()
@@ -307,18 +307,20 @@ def warp_mask(mask: Mask, transform: AffineTransform) -> Mask:
     cols = np.arange(col0, col1, dtype=float)
     rows = np.arange(row0, row1, dtype=float)
     if inv.b == 0 and inv.c == 0:
-        src_c = _round_half_up(inv.a * cols + inv.b * float(row0) + inv.tx)
-        src_r = _round_half_up(inv.c * float(col0) + inv.d * rows + inv.ty)
+        src_c = np.floor(inv.a * cols + inv.b * float(row0) + inv.tx + 0.5)
+        src_r = np.floor(inv.c * float(col0) + inv.d * rows + inv.ty + 0.5)
         in_c = (src_c >= 0) & (src_c < width)
         in_r = (src_r >= 0) & (src_r < height)
-        gathered = mask[src_r.clip(0, height - 1)][:, src_c.clip(0, width - 1)]
+        gathered = mask[np.where(in_r, src_r, 0).astype(np.intp)]
+        gathered = gathered[:, np.where(in_c, src_c, 0).astype(np.intp)]
         out[row0:row1, col0:col1] = gathered & in_r[:, None] & in_c
         return out
     rows = rows[:, None]
-    src_c = _round_half_up(inv.a * cols + inv.b * rows + inv.tx)
-    src_r = _round_half_up(inv.c * cols + inv.d * rows + inv.ty)
+    src_c = np.floor(inv.a * cols + inv.b * rows + inv.tx + 0.5)
+    src_r = np.floor(inv.c * cols + inv.d * rows + inv.ty + 0.5)
     inside = (src_r >= 0) & (src_r < height) & (src_c >= 0) & (src_c < width)
-    out[row0:row1, col0:col1][inside] = mask[src_r[inside], src_c[inside]]
+    out[row0:row1, col0:col1][inside] = mask[
+        src_r[inside].astype(np.intp), src_c[inside].astype(np.intp)]
     return out
 
 

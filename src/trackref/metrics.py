@@ -246,13 +246,6 @@ def temporal_stability_proxy(masks: Sequence[Mask]) -> float:
     return fmean(contributions)
 
 
-def _bbox_union(a, b) -> tuple[slice, slice]:
-    """Slices spanning two ``mask_bbox`` results; empty when both are None."""
-    if a is None or b is None:
-        return a or b or (slice(0, 0), slice(0, 0))
-    return tuple(slice(min(x.start, y.start), max(x.stop, y.stop)) for x, y in zip(a, b))
-
-
 def evaluate_masks(
     pred: Mapping[int, Mask],
     gt: Mapping[int, Mask],
@@ -260,9 +253,9 @@ def evaluate_masks(
 ) -> EvalReport:
     """Full per-query mask evaluation over aligned frame sets.
 
-    Every mask must have the same size.  J and F of a frame are computed on
-    the crop of both masks to the union of their bboxes, which gives the
-    full-frame values; the default tolerance comes from the frame size.
+    Every mask must have the same size.  Whole masks go to ``mask_iou`` and
+    ``boundary_f``, and each crops the pair to the union of their bboxes;
+    ``boundary_f`` takes its default tolerance from the frame size.
     """
     if set(pred) != set(gt):
         missing = sorted(set(gt) - set(pred))
@@ -284,13 +277,8 @@ def evaluate_masks(
                 f"mask size changes between frames {previous} and {f}: "
                 f"{pred[previous].shape} vs {pred[f].shape}"
             )
-    if tolerance is None:
-        tolerance = default_boundary_tolerance(*pred[frames[0]].shape)
-    j_series, f_series = [], []
-    for f in frames:
-        window = _bbox_union(mask_bbox(pred[f]), mask_bbox(gt[f]))
-        j_series.append(mask_iou(pred[f][window], gt[f][window]))
-        f_series.append(boundary_f(pred[f][window], gt[f][window], tolerance))
+    j_series = [mask_iou(pred[f], gt[f]) for f in frames]
+    f_series = [boundary_f(pred[f], gt[f], tolerance) for f in frames]
     j_stats = series_stats(j_series)
     f_stats = series_stats(f_series)
     if len(frames) >= 2:

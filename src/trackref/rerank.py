@@ -383,7 +383,6 @@ def read_proposals(path) -> tuple[dict[tuple[str, str], VideoProposals], set[str
             and 0 < h < inf and 0 <= score < inf and 0 <= objectness < inf and 0 < w * h
         ):  # the classes' own checks raise the error for the first bad field
             Proposal(frame, Box(x, y, w, h), score, objectness, proposal_id)
-            raise ValueError(f"box area w * h is 0, got w={w}, h={h}")
         rows.append((frame, proposal_id, x, y, w, h, score, objectness))
 
     unknown = read_jsonl(path, _PROPOSAL_FIELDS, add)
@@ -447,8 +446,6 @@ def read_tracks(path) -> dict[tuple[str, str], Track]:
         if frame < 1:
             raise ValueError(f"frame index must be >= 1, got {frame}")
         box = Box(x, y, w, h)
-        if not 0 < w * h:
-            raise ValueError(f"box area w * h is 0, got w={w}, h={h}")
         track = tracks.setdefault((video, query), Track(video, query))
         if frame in track.entries:
             raise ValueError(f"duplicate frame {frame} for {video}/{query}")

@@ -134,8 +134,10 @@ def _parse_floats(value: str, count: int, key: str) -> list[float]:
 
 
 def _parse_affine(value: str, key: str) -> AffineTransform:
-    a, b, tx, c, d, ty = _parse_floats(value, 6, key)
-    return AffineTransform(a, b, tx, c, d, ty)
+    coefficients = _parse_floats(value, 6, key)
+    if not all(map(math.isfinite, coefficients)):
+        raise ValueError(f"key {key!r} expects finite numbers, got {value!r}")
+    return AffineTransform(*coefficients)
 
 
 def parse_scene_spec(text: str, path: str = "<scene spec>") -> SceneSpec:

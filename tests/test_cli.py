@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import trackref
 
 from trackref.cli import main
-from trackref.geometry import Box, rasterize_box, write_mask
+from trackref.geometry import Box, rasterize_box, read_mask, write_mask
 from trackref.rerank import Track, read_tracks, write_tracks
 
 TOY_PROPOSALS = [
@@ -787,6 +787,18 @@ class TestSimulateCommand:
         corrupt.write_text(corruption)
         return scene, corrupt
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_translation_leaves_the_frame_silently(self, tmp_path, capsys):
+        scene, corrupt = self._specs(tmp_path)
+        scene.write_text(SCENE_SPEC.replace("1 0 2 0 1 0", "1 0 1e308 0 1 0"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scene", str(scene), "--corrupt", str(corrupt),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        masks = out / "masks" / "scene_000" / "1"
+        assert read_mask(masks / "00001.rle").any()
+        assert not read_mask(masks / "00002.rle").any()
+
     def test_deterministic_manifest(self, tmp_path, capsys):
         scene, corrupt = self._specs(tmp_path)
         manifests = []
@@ -843,6 +855,12 @@ class TestSimulateCommand:
          "key 'object1.motion' expects 6 numbers, got 3"),
         ("width = 48\nheight = 32\nobject1.box = 4 6 10 8\nobject1.motion = 1 0 2 0 1 x\n",
          ":4", "key 'object1.motion' expects a number, got 'x'"),
+        ("width = 48\nheight = 32\nobject1.box = 4 6 10 8\nobject1.motion = nan 0 0 0 1 0\n",
+         ":4", "key 'object1.motion' expects finite numbers, got 'nan 0 0 0 1 0'"),
+        ("width = 48\nheight = 32\nobject1.box = 4 6 10 8\nobject1.motion = 1 0 inf 0 1 0\n",
+         ":4", "key 'object1.motion' expects finite numbers, got '1 0 inf 0 1 0'"),
+        ("width = 48\nheight = 32\nobject1.box = 4 6 1e-200 1e-200\n", ":3",
+         "box area w * h is 0, got w=1e-200, h=1e-200"),
         ("width = 48\nobject1.box = 4 6 10 8\nobject2.motion = 1 0 2 0 1 0\n", ":3",
          "motion given for undefined object 2"),
         ("width = 48\nheight = 32\nobject1.motion = 1 0 2 0 1 0\n", ":3",
@@ -1205,6 +1223,20 @@ class TestJitterCommand:
         for box in jittered.entries.values():
             assert box.x >= 0 and box.y >= 0
             assert box.x + box.w <= 48 and box.y + box.h <= 32
+
+    def test_underflowing_box_names_its_source(self, tmp_path, capsys):
+        # A frame this small forces 1e-300-sided boxes, whose area is 0.
+        boxes = tmp_path / "gt.jsonl"
+        write_tracks(boxes, {("v", "1"): Track("v", "1", {1: Box(4.0, 6.0, 10.0, 8.0)})})
+        out = tmp_path / "out"
+        assert main([
+            "jitter", "--gt-boxes", str(boxes), "--fraction", "0.1",
+            "--width", "1e-300", "--height", "1e-300", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {boxes}: v/1, frame 1: box area w * h is 0, got w=1e-300, h=1e-300\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--fraction", "nan", "must be finite and >= 0, got nan"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,10 @@ class TestBox:
             Box(float("nan"), 0, 1, 1)
         with pytest.raises(ValueError):
             Box(0, float("inf"), 1, 1)
+
+    def test_rejects_underflowing_area(self):
+        with pytest.raises(ValueError, match=r"^box area w \* h is 0, got w=1e-200, h=1e-200$"):
+            Box(0, 0, 1e-200, 1e-200)
 
 
 class TestBoxIou:
@@ -175,6 +181,19 @@ class TestWarpMask:
         mask[1, 3] = True
         moved = warp_mask(mask, AffineTransform.translation(1, 0))
         assert not moved.any()
+
+    @pytest.mark.parametrize("transform", [
+        AffineTransform.translation(1e308, 0),
+        AffineTransform(0.8, -0.6, 1e308, 0.6, 0.8, 0),  # a rotation, so no separable path
+        AffineTransform(1e300, 0, 0, 0, 1e-300, 0),
+        AffineTransform(2e-309, 0, 0, 0, 1e297, 0),  # the inverse's a is inf, and inf * 0 NaN
+    ])
+    def test_huge_motion_leaves_the_frame_silently(self, transform):
+        mask = empty_mask(40, 8)  # 40 rows, so the 1e300 case warps the full frame
+        mask[2:4, 3:6] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not warp_mask(mask, transform).any()
 
     def test_non_invertible_transform_rejected(self):
         with pytest.raises(ValueError, match="invertible"):
