@@ -34,7 +34,6 @@ from .rerank import (
     ScoredVideo,
     Track,
     VideoProposals,
-    hybrid_track,
     oracle_assign,
     raw_select,
     rerank_scores,

@@ -1,11 +1,11 @@
 """Batch command-line tool: rerank, eval, simulate, jitter, stats, oracle.
 
 Exit codes: 0 success, 1 usage error, 2 data error.  Commands validate all
-inputs before writing anything, warnings go to stderr, and every random draw
-flows from the --seed flag through counter-based streams, so outputs are
-byte-identical for a given seed.  Every command runs serially; rerank, eval
-and simulate still accept --jobs for compatibility, and it has no effect,
-because no stage measured faster on threads.
+inputs before writing anything and write --out only through ``_output``, so a
+failed run leaves --out as it was.  Warnings go to stderr.  Every random draw
+flows from --seed through counter-based streams, so outputs are byte-identical
+for a given seed.  Every command runs serially: --jobs (rerank, eval and
+simulate) is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -14,7 +14,10 @@ import argparse
 import hashlib
 import math
 import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 from statistics import fmean
@@ -41,13 +44,42 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _ensure_dir(path: Path) -> None:
-    path.mkdir(parents=True, exist_ok=True)
-
-
 def _usage_error(message: str) -> int:
     print(f"usage error: {message}", file=sys.stderr)
     return 1
+
+
+@contextmanager
+def _output(out):
+    """Yield where to write ``out``'s files: a missing ``out`` itself, removed on
+    any error, or a hidden staging directory in an existing one, whose files
+    replace ``out``'s once all are written and none clashes; the rest stay."""
+    if out is None:
+        yield None
+        return
+    out = Path(out)
+    if not out.is_dir():
+        out.mkdir(parents=True)
+        try:
+            yield out
+        except BaseException:
+            shutil.rmtree(out, ignore_errors=True)
+            raise
+        return
+    stage = Path(tempfile.mkdtemp(prefix=".trackref-", dir=out))
+    try:
+        yield stage
+        moves = [(path, out / path.relative_to(stage)) for path in sorted(stage.rglob("*"))]
+        for path, target in moves:
+            if target.exists() and target.is_dir() != path.is_dir():
+                raise IsADirectoryError(f"cannot write {target}: a file and a directory clash")
+        for path, target in moves:
+            if path.is_dir():
+                target.mkdir(exist_ok=True)
+            else:
+                os.replace(path, target)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _write_report(out, stem: str, pairs, document) -> None:
@@ -56,8 +88,6 @@ def _write_report(out, stem: str, pairs, document) -> None:
     text = render_text(pairs)
     sys.stdout.write(text)
     if out is not None:
-        out = Path(out)
-        _ensure_dir(out)
         (out / f"{stem}.txt").write_text(text, encoding="utf-8")
         (out / f"{stem}.json").write_text(render_json(document), encoding="utf-8")
 
@@ -93,13 +123,12 @@ def cmd_rerank(args) -> int:
         if args.raw:
             baselines[key] = rerank.raw_select(vp)
 
-    out = Path(args.out)
-    _ensure_dir(out)
-    rerank.write_tracks(out / "tracks.jsonl", tracks)
-    rerank.write_scores(out / "scores.jsonl", scored)
-    if args.raw:
-        rerank.write_tracks(out / "raw_tracks.jsonl", baselines)
-    _info(f"reranked {len(videos)} (video, query) pairs into {out}")
+    with _output(args.out) as out:
+        rerank.write_tracks(out / "tracks.jsonl", tracks)
+        rerank.write_scores(out / "scores.jsonl", scored)
+        if args.raw:
+            rerank.write_tracks(out / "raw_tracks.jsonl", baselines)
+    _info(f"reranked {len(videos)} (video, query) pairs into {args.out}")
     return 0
 
 
@@ -231,17 +260,14 @@ def cmd_eval(args) -> int:
         if mask_reports:
             _breakdown_section(pairs, document, "jf", mask_reports, attrs)
 
-    _write_report(args.out, "report", pairs, document)
+    with _output(args.out) as out:
+        _write_report(out, "report", pairs, document)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
-
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
 
 def _read_spec(parse, path):
     """``parse(text, path)`` of the spec file; a file that is not UTF-8 is named."""
@@ -269,44 +295,36 @@ def cmd_simulate(args) -> int:
             all_proposals[(video, query)] = vp
             all_tracks[(video, query)] = rerank.Track(video, query, gt_entries[query])
 
-    out = Path(args.out)
-    _ensure_dir(out)
-    digests: dict[Path, str] = {}
-    boxes_path = out / "gt_boxes.jsonl"
-    rerank.write_tracks(boxes_path, all_tracks)
-    proposals_path = out / "proposals.jsonl"
-    rerank.write_proposals(proposals_path, all_proposals)
-    for path in (boxes_path, proposals_path):
-        digests[path] = _digest(path.read_bytes())
-    # Every scene shares the ground-truth masks: each is encoded and hashed
-    # once into scene 000's file, and the other scenes' paths are hard links
-    # to it, or copies where the file system has no hard links.  Each path is
-    # unlinked first, so a re-run replaces a file and never writes through
-    # an inode that another name still shares.
     extension = ".pbm" if args.mask_format == "pbm" else ".rle"
-    for query in sorted(gt.masks):
-        mask_dirs = [out / "masks" / video / str(query) for video in videos]
-        for mask_dir in mask_dirs:
-            _ensure_dir(mask_dir)
-        for frame in sorted(gt.masks[query]):
-            name = f"{frame:05d}{extension}"
-            first = mask_dirs[0] / name
-            first.unlink(missing_ok=True)
-            data = write_mask(first, gt.masks[query][frame])
-            digest = _digest(data)
-            digests[first] = digest
-            for mask_dir in mask_dirs[1:]:
-                path = mask_dir / name
-                path.unlink(missing_ok=True)
-                try:
-                    os.link(first, path)
-                except OSError:
-                    path.write_bytes(data)
-                digests[path] = digest
+    with _output(args.out) as out:
+        rerank.write_tracks(out / "gt_boxes.jsonl", all_tracks)
+        rerank.write_proposals(out / "proposals.jsonl", all_proposals)
+        digests = {path: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (out / "gt_boxes.jsonl", out / "proposals.jsonl")}
+        # Every scene shares the ground-truth masks: each is encoded and hashed
+        # once into scene 000's file, and the other scenes' paths are hard links
+        # to it, or copies where the file system has no hard links.
+        for query in sorted(gt.masks):
+            mask_dirs = [out / "masks" / video / str(query) for video in videos]
+            for mask_dir in mask_dirs:
+                mask_dir.mkdir(parents=True)
+            for frame in sorted(gt.masks[query]):
+                name = f"{frame:05d}{extension}"
+                first = mask_dirs[0] / name
+                data = write_mask(first, gt.masks[query][frame])
+                digest = hashlib.sha256(data).hexdigest()
+                digests[first] = digest
+                for mask_dir in mask_dirs[1:]:
+                    path = mask_dir / name
+                    try:
+                        os.link(first, path)
+                    except OSError:
+                        path.write_bytes(data)
+                    digests[path] = digest
 
-    manifest_lines = [f"{digests[path]}  {path.relative_to(out)}" for path in sorted(digests)]
-    manifest = "\n".join(manifest_lines) + "\n"
-    (out / "MANIFEST.txt").write_text(manifest, encoding="utf-8")
+        manifest_lines = [f"{digests[path]}  {path.relative_to(out)}" for path in sorted(digests)]
+        manifest = "\n".join(manifest_lines) + "\n"
+        (out / "MANIFEST.txt").write_text(manifest, encoding="utf-8")
     sys.stdout.write(manifest)
     return 0
 
@@ -329,10 +347,9 @@ def cmd_jitter(args) -> int:
                     track.entries[frame], args.fraction, rng, args.width, args.height
                 )
         jittered[key] = rerank.Track(key[0], key[1], entries)
-    out = Path(args.out)
-    _ensure_dir(out)
-    rerank.write_tracks(out / "jittered.jsonl", jittered)
-    _info(f"jittered {len(jittered)} tracks into {out}")
+    with _output(args.out) as out:
+        rerank.write_tracks(out / "jittered.jsonl", jittered)
+    _info(f"jittered {len(jittered)} tracks into {args.out}")
     return 0
 
 
@@ -369,9 +386,10 @@ def cmd_stats(args) -> int:
             pairs.append((f"group/{annotation_type}/{name}", value))
         document["groups"][annotation_type] = entry
 
-    _write_report(args.out, "stats", pairs, document)
-    if args.out is not None:
-        expressions.write_attributes(Path(args.out) / "attributes.jsonl", tagged)
+    with _output(args.out) as out:
+        _write_report(out, "stats", pairs, document)
+        if out is not None:
+            expressions.write_attributes(out / "attributes.jsonl", tagged)
     return 0
 
 
@@ -390,10 +408,9 @@ def cmd_oracle(args) -> int:
         with located(f"{args.proposals} vs {args.gt_boxes}"):
             tracks = {key: rerank.oracle_assign(videos[key], gt[key].entries) for key in videos}
 
-    out = Path(args.out)
-    _ensure_dir(out)
-    rerank.write_tracks(out / "tracks.jsonl", tracks)
-    _info(f"wrote {len(tracks)} oracle tracks into {out}")
+    with _output(args.out) as out:
+        rerank.write_tracks(out / "tracks.jsonl", tracks)
+    _info(f"wrote {len(tracks)} oracle tracks into {args.out}")
     return 0
 
 

@@ -338,13 +338,6 @@ def oracle_assign(vp: VideoProposals, gt_boxes: dict[int, Box | None]) -> Track:
     return _track(vp, compress(vp.frame_ids, known), best)
 
 
-def hybrid_track(gt_first: Box, reranked: Track) -> Track:
-    """Replace the first-frame entry with a known box, keeping the rest."""
-    entries = dict(reranked.entries)
-    entries[1] = gt_first
-    return Track(reranked.video_id, reranked.query_id, entries)
-
-
 # ---------------------------------------------------------------------------
 # JSON Lines formats
 # ---------------------------------------------------------------------------

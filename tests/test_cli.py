@@ -1331,6 +1331,156 @@ class TestStatsCommand:
         assert capsys.readouterr().err.startswith(f"error: {lexicons / 'verb_words.txt'}: ")
 
 
+# Each command's argv after the subcommand, given the input directory and --out,
+# and the files it writes there.
+_OUTPUT_COMMANDS = {
+    "rerank": (lambda d, out: ["--proposals", str(d / "sim" / "proposals.jsonl"),
+                               "--out", str(out), "--raw"],
+               ["tracks.jsonl", "scores.jsonl", "raw_tracks.jsonl"]),
+    "eval": (lambda d, out: ["--pred-tracks", str(d / "sim" / "gt_boxes.jsonl"),
+                             "--gt-boxes", str(d / "sim" / "gt_boxes.jsonl"), "--out", str(out)],
+             ["report.txt", "report.json"]),
+    "jitter": (lambda d, out: ["--gt-boxes", str(d / "sim" / "gt_boxes.jsonl"),
+                               "--fraction", "0.1", "--width", "48", "--height", "32",
+                               "--out", str(out)],
+               ["jittered.jsonl"]),
+    "stats": (lambda d, out: ["--out", str(out)],
+              ["stats.txt", "stats.json", "attributes.jsonl"]),
+    "oracle": (lambda d, out: ["--oracle", "grounding",
+                               "--proposals", str(d / "sim" / "proposals.jsonl"),
+                               "--gt-boxes", str(d / "sim" / "gt_boxes.jsonl"), "--out", str(out)],
+               ["tracks.jsonl"]),
+    "simulate": (lambda d, out: ["--scene", str(d / "scene.txt"),
+                                 "--corrupt", str(d / "corrupt.txt"), "--out", str(out)],
+                 ["gt_boxes.jsonl", "proposals.jsonl", "MANIFEST.txt"]),
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline_inputs(tmp_path_factory):
+    """Scene and corruption specs, and one simulated run of them under ``sim``."""
+    root = tmp_path_factory.mktemp("inputs")
+    (root / "scene.txt").write_text(SCENE_SPEC)
+    (root / "corrupt.txt").write_text(CLEAN_CORRUPTION)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", *_OUTPUT_COMMANDS["simulate"][0](root, root / "sim")]) == 0
+    return root
+
+
+@st.composite
+def blocked_runs(draw):
+    """A command that writes an existing --out, files that an earlier run left
+    there, and one of its output paths blocked: a directory where a file goes,
+    or a file where a directory goes."""
+    command = draw(st.sampled_from(sorted(_OUTPUT_COMMANDS)))
+    extra, files, dirs = [], list(_OUTPUT_COMMANDS[command][1]), []
+    if command == "simulate":
+        scenes, mask_format = draw(st.integers(1, 3)), draw(st.sampled_from(["rle", "pbm"]))
+        extra = ["--scenes", str(scenes), "--mask-format", mask_format]
+        scene = f"masks/scene_{draw(st.integers(0, scenes - 1)):03d}"
+        files.append(f"{scene}/1/00002.{mask_format}")
+        dirs = ["masks", scene, f"{scene}/1"]
+    blocked, kind = draw(st.sampled_from(
+        [(name, "dir") for name in files] + [(name, "file") for name in dirs]
+    ))
+    earlier = draw(st.dictionaries(
+        st.sampled_from(["notes.txt", "old/run.log", *files]), st.binary(max_size=8), max_size=3
+    ))
+    earlier = {
+        name: data for name, data in earlier.items()
+        if not (name == blocked or name.startswith(f"{blocked}/"))
+    }
+    return command, extra, blocked, kind, earlier
+
+
+def tree_state(root):
+    """Every path under ``root``, hidden ones included, mapped to its bytes or "dir"."""
+    return {
+        str(p.relative_to(root)): "dir" if p.is_dir() else p.read_bytes()
+        for p in sorted(root.rglob("*"))
+    }
+
+
+class TestOutputDirectory:
+    """A failed run leaves --out as it was; a missing --out is removed again."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(run=blocked_runs())
+    def test_a_blocked_output_leaves_an_existing_out_as_it_was(self, pipeline_inputs, run):
+        command, extra, blocked, kind, earlier = run
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            out.mkdir()
+            for name, data in earlier.items():
+                (out / name).parent.mkdir(parents=True, exist_ok=True)
+                (out / name).write_bytes(data)
+            target = out / blocked
+            if kind == "dir":
+                target.mkdir(parents=True)
+            else:
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_bytes(b"in the way")
+            before = tree_state(out)
+            argv = [command, *_OUTPUT_COMMANDS[command][0](pipeline_inputs, out), *extra]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert main(argv) == 2
+            assert err.getvalue().startswith("error: ") and str(target) in err.getvalue()
+            assert tree_state(out) == before
+            assert not list(out.rglob(".trackref-*"))
+
+    @pytest.mark.parametrize("module, name, command", [
+        (trackref.rerank, "write_scores", "rerank"),
+        (trackref.cli, "write_mask", "simulate"),
+    ])
+    def test_a_failed_write_removes_a_missing_out(
+        self, pipeline_inputs, tmp_path, monkeypatch, capsys, module, name, command
+    ):
+        def fail(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(module, name, fail)
+        out = tmp_path / "a" / "b" / "out"
+        assert main([command, *_OUTPUT_COMMANDS[command][0](pipeline_inputs, out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stats_into_the_current_directory_twice(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["stats", "--out", "."]) == 0
+        first = tree_state(tmp_path)
+        assert main(["stats", "--out", "."]) == 0
+        assert tree_state(tmp_path) == first
+        assert sorted(first) == ["attributes.jsonl", "stats.json", "stats.txt"]
+
+    def test_rerun_into_an_existing_out_keeps_the_hard_links(self, pipeline_inputs, tmp_path):
+        out = tmp_path / "out"
+        argv = ["simulate", *_OUTPUT_COMMANDS["simulate"][0](pipeline_inputs, out),
+                "--scenes", "3"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+            (out / "notes.txt").write_text("kept")
+            assert main(argv) == 0
+        assert (out / "notes.txt").read_text() == "kept"
+        first = out / "masks" / "scene_000" / "1"
+        names = sorted(p.name for p in first.iterdir())
+        assert len(names) == 6
+        for name in names:
+            inode = (first / name).stat().st_ino
+            for scene_dir in ("scene_001", "scene_002"):
+                assert (out / "masks" / scene_dir / "1" / name).stat().st_ino == inode
+
+    def test_messages_name_out_and_not_the_staging_directory(
+        self, pipeline_inputs, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        argv = ["rerank", *_OUTPUT_COMMANDS["rerank"][0](pipeline_inputs, out)]
+        for _ in range(2):  # into a missing --out, then into the existing one
+            assert main(argv) == 0
+            assert capsys.readouterr().err == f"reranked 1 (video, query) pairs into {out}\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted(_OUTPUT_COMMANDS["rerank"][1])
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1

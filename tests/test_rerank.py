@@ -10,7 +10,6 @@ from trackref.rerank import (
     Proposal,
     Track,
     VideoProposals,
-    hybrid_track,
     oracle_assign,
     raw_select,
     read_proposals,
@@ -325,23 +324,6 @@ class TestOracleAssign:
         vp = toy_video()
         track = oracle_assign(vp, {1: Box(0, 0, 10, 10), 2: None, 3: Box(0, 0, 1, 1)})
         assert set(track.entries) == {1}
-
-
-class TestHybridTrack:
-    def test_first_frame_replaced(self):
-        base = Track("v", "q", {1: Box(5, 5, 2, 2), 2: Box(7, 5, 2, 2)})
-        fixed = hybrid_track(Box(0, 0, 2, 2), base)
-        assert fixed.entries[1] == Box(0, 0, 2, 2)
-        assert fixed.entries[2] == base.entries[2]
-        assert base.entries[1] == Box(5, 5, 2, 2)  # input untouched
-
-    def test_idempotent_when_already_equal(self):
-        base = Track("v", "q", {1: Box(0, 0, 2, 2), 2: Box(7, 5, 2, 2)})
-        assert hybrid_track(Box(0, 0, 2, 2), base).entries == base.entries
-
-    def test_empty_track_gets_only_first_frame(self):
-        fixed = hybrid_track(Box(1, 1, 2, 2), Track("v", "q"))
-        assert fixed.entries == {1: Box(1, 1, 2, 2)}
 
 
 class TestValidation:
