@@ -82,14 +82,15 @@ def _output(out):
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def _write_report(out, stem: str, pairs, document) -> None:
-    """Print the text report; with ``out``, also write it to ``<stem>.txt``
-    and the document to ``<stem>.json`` there."""
+def _write_report(out, stem: str, pairs, document) -> str:
+    """The text report; with ``out``, also write it to ``<stem>.txt`` and the
+    document to ``<stem>.json`` there.  The caller prints the text once
+    ``--out`` is in place, so a failed write prints no report."""
     text = render_text(pairs)
-    sys.stdout.write(text)
     if out is not None:
         (out / f"{stem}.txt").write_text(text, encoding="utf-8")
         (out / f"{stem}.json").write_text(render_json(document), encoding="utf-8")
+    return text
 
 
 def _require_entries(available, wanted, holder: str, source) -> None:
@@ -261,7 +262,8 @@ def cmd_eval(args) -> int:
             _breakdown_section(pairs, document, "jf", mask_reports, attrs)
 
     with _output(args.out) as out:
-        _write_report(out, "report", pairs, document)
+        text = _write_report(out, "report", pairs, document)
+    sys.stdout.write(text)
     return 0
 
 
@@ -387,9 +389,10 @@ def cmd_stats(args) -> int:
         document["groups"][annotation_type] = entry
 
     with _output(args.out) as out:
-        _write_report(out, "stats", pairs, document)
+        text = _write_report(out, "stats", pairs, document)
         if out is not None:
             expressions.write_attributes(out / "attributes.jsonl", tagged)
+    sys.stdout.write(text)
     return 0
 
 

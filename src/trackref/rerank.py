@@ -13,11 +13,15 @@ Same-frame proposals never contribute to the sum: their temporal distance is
 zero, so they are excluded rather than dividing by it.
 
 The sum is evaluated one offset k at a time between the sorted non-empty
-frames: one batched IoU block pairs every frame with the frame k positions
-later, and because IoU is symmetric each block adds support in both
-directions.  The cost is one block per offset; ``window`` stops the offsets
-once every pair lies beyond it.  Weights use the true frame distances, so
-sparse or huge frame ids cost nothing extra.
+frames, on a table with one lane per frame, the innermost axis, and one slot
+per proposal rank, best first, so a frame's K sources are its first K slots.
+Offset k pairs the first F - k lanes with the last F - k.  Per pair, one IoU
+block of every slot of the earlier frame against the later frame's sources
+feeds both sides, since IoU is symmetric; a second takes the later frame's
+other slots against the earlier sources.  That is 2PK - K^2 IoU entries for
+P proposals per frame, P^2 with ``top_k`` off.  ``window`` stops the offsets once every
+pair lies beyond it.  Weights use the true frame distances, so sparse or
+huge frame ids cost nothing extra.
 
 Proposals live in one columnar table per (video, query),
 :class:`VideoProposals`, with rows kept in (frame, id) order: one
@@ -185,26 +189,49 @@ class Track:
         return self.entries.get(frame)
 
 
-def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of (..., N, 4) / (..., M, 4) corner arrays (x0, y0, x1, y1).
+def _add_support(rows, sources, weights, support, far, scratch, back=None) -> None:
+    """Add to ``support`` what every row slot draws from the source slots.
 
-    Leading axes broadcast, so a stack of frame pairs gives a (..., N, M) block.
+    ``rows`` and ``sources`` are ``(5, slots, lanes)`` views of the kernel's
+    table (``x0, y0, x1, y1, area``); lane l of both holds the two frames of
+    one pair, and ``weights`` holds the sources' weights over that pair's
+    distance.  The IoU block is computed a few row slots at a time, in place
+    in ``scratch``, and zeroed on the ``far`` lanes, whose pairs lie beyond
+    the window.  ``back``, a ``(weights, support)`` pair for the first row
+    slots, also sends their support to the sources through the same block.
     """
-    ix = np.minimum(a[..., :, None, 2], b[..., None, :, 2]) - np.maximum(
-        a[..., :, None, 0], b[..., None, :, 0]
-    )
-    iy = np.minimum(a[..., :, None, 3], b[..., None, :, 3]) - np.maximum(
-        a[..., :, None, 1], b[..., None, :, 1]
-    )
-    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    return inter / (area_a[..., :, None] + area_b[..., None, :] - inter)
+    slots, lanes = rows.shape[1:]
+    entries = len(weights) * lanes
+    step = max(1, _BLOCK_ENTRIES // entries)
+    rx0, ry0, rx1, ry1, rarea = rows[:, :, None]
+    sx0, sy0, sx1, sy1, sarea = sources[:, None]
+    back_weights, back_support = back or ((), None)
+    for start in range(0, slots, step):
+        stop = min(start + step, slots)
+        ix, iy, low = scratch[:, :(stop - start) * entries].reshape(3, -1, *weights.shape)
+        np.minimum(rx1[start:stop], sx1, out=ix)
+        ix -= np.maximum(rx0[start:stop], sx0, out=low)
+        np.maximum(ix, 0.0, out=ix)
+        np.minimum(ry1[start:stop], sy1, out=iy)
+        iy -= np.maximum(ry0[start:stop], sy0, out=low)
+        np.maximum(iy, 0.0, out=iy)
+        overlaps = np.multiply(ix, iy, out=ix)
+        np.add(rarea[start:stop], sarea, out=iy)
+        iy -= overlaps
+        overlaps /= iy
+        if far is not None:
+            np.copyto(overlaps, 0.0, where=far)
+        support[start:stop] += np.einsum("rkl,kl->rl", overlaps, weights)
+        if start < len(back_weights):
+            end = min(stop, len(back_weights))
+            back_support += np.einsum("rkl,rl->kl", overlaps[:end - start],
+                                      back_weights[start:end])
 
 
-# IoU entries per block: bounds the kernel's scratch memory (a handful of
-# float64 arrays of this size) whatever the number of frames or proposals.
-_BLOCK_ENTRIES = 1 << 16
+# IoU entries per block: bounds the kernel's scratch memory (three float64
+# arrays of this size) whatever the number of frames or proposals, down to a
+# floor of one slot against the sources of every frame pair of an offset.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def _best_first(vp: VideoProposals, *keys: np.ndarray) -> np.ndarray:
@@ -252,39 +279,49 @@ def rerank_scores(
 
     sources = vp.objectness * vp.scores
     _require_finite(vp, sources, "source weight objectness x score")
-    starts = vp.frame_starts()
-    slot = np.arange(len(vp.ids)) - starts[vp.frame_of]
-    if top_k is not None:
-        sources[_best_first(vp, vp.scores, vp.objectness)[slot >= top_k]] = 0.0
-
-    # One row of padded arrays per non-empty frame, one column per id rank;
+    # One lane per non-empty frame, the innermost axis, and one slot per rank
+    # in it, best first, so that a frame's K sources are its first K slots;
     # padding is a unit box with weight 0.
     count = len(vp.frame_ids)
+    order = _best_first(vp, vp.scores, vp.objectness)
+    slot = np.empty_like(vp.frame_of)
+    slot[order] = np.arange(len(vp.ids)) - vp.frame_starts()[vp.frame_of]
     width = int(slot.max(initial=-1)) + 1
-    cells = (vp.frame_of, slot)
-    corners = np.tile([0.0, 0.0, 1.0, 1.0], (count, width, 1))
-    corners[cells] = np.concatenate((vp.boxes[:, :2], vp.boxes[:, :2] + vp.boxes[:, 2:]), axis=1)
-    weights = np.zeros((count, width))
+    k_top = width if top_k is None else min(top_k, width)
+    cells = (slot, vp.frame_of)
+    table = np.zeros((5, width, count))
+    table[2:] = 1.0
+    (x0, y0), (x1, y1) = vp.boxes[:, :2].T, (vp.boxes[:, :2] + vp.boxes[:, 2:]).T
+    for side, values in enumerate((x0, y0, x1, y1, (x1 - x0) * (y1 - y0))):
+        table[side][cells] = values
+    weights = np.zeros((width, count))
     weights[cells] = sources
     frames = np.array(vp.frame_ids, dtype=object)
-    limit = np.inf if window is None else window
-    block_rows = max(1, _BLOCK_ENTRIES // max(1, width * width))
-    support = np.zeros((count, width))
-    # Offset k pairs frame row i with row i + k.  IoU is symmetric, so each
-    # block feeds both directions.  Distances only grow with k, so the loop
-    # ends at the first offset whose pairs all lie beyond the window.
+    scratch = np.empty((3, max(_BLOCK_ENTRIES, k_top * count)))
+    support = np.zeros((width, count))
+    # Offset k pairs early lane i with late lane i + k: IoU of every early
+    # slot against the late sources, which also sends the early sources'
+    # support to the late ones, then of the other late slots against the
+    # early sources.  Distances only grow with k, so the loop ends at the
+    # first offset whose pairs all lie beyond the window.
     for k in range(1, count):
-        gaps = frames[k:] - frames[:-k]
-        near = np.flatnonzero(gaps <= limit)
-        if near.size == 0:
-            break
-        for start in range(0, near.size, block_rows):
-            i = near[start:start + block_rows]
-            j = i + k
-            distance = gaps[i].astype(float)[:, None]
-            overlaps = _iou_matrix(corners[i], corners[j])
-            support[i] += np.einsum("rpq,rq->rp", overlaps, weights[j] / distance)
-            support[j] += np.einsum("rpq,rp->rq", overlaps, weights[i] / distance)
+        lanes = count - k
+        gaps = frames[k:] - frames[:lanes]
+        far = None
+        if window is not None:
+            far = gaps > window
+            if far.all():
+                break
+            far = far if far.any() else None
+        distance = gaps.astype(float)
+        early, late = table[:, :, :lanes], table[:, :, k:]
+        to_early = weights[:k_top, :lanes] / distance
+        to_late = weights[:k_top, k:] / distance
+        _add_support(early, late[:, :k_top], to_late, support[:, :lanes], far, scratch,
+                     back=(to_early, support[:k_top, k:]))
+        if k_top < width:
+            _add_support(late[:, k_top:], early[:, :k_top], to_early, support[k_top:, k:], far,
+                         scratch)
     new_score = vp.scores * support[cells]
     _require_finite(vp, new_score, "re-ranked score")
     return ScoredVideo(vp, new_score)

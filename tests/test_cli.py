@@ -1445,6 +1445,21 @@ class TestOutputDirectory:
         assert "No space left on device" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, blocked", [("stats", "stats.json"), ("eval", "report.json")])
+    def test_a_failed_report_write_prints_nothing(
+        self, pipeline_inputs, tmp_path, capsys, command, blocked
+    ):
+        out = tmp_path / "st"
+        (out / blocked).mkdir(parents=True)
+        before = tree_state(out)
+        assert main([command, *_OUTPUT_COMMANDS[command][0](pipeline_inputs, out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write {out / blocked}: a file and a directory clash\n"
+        )
+        assert tree_state(out) == before
+
     def test_stats_into_the_current_directory_twice(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["stats", "--out", "."]) == 0

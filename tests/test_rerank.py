@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trackref import rerank
 from trackref.geometry import Box, box_iou
 from trackref.rerank import (
     Proposal,
@@ -227,9 +228,13 @@ class TestRerankScores:
         vp=sparse_videos(),
         window=st.one_of(st.none(), st.integers(1, 40), st.just(10**9)),
         top_k=st.one_of(st.none(), st.integers(1, 6)),
+        # Small blocks split an offset's slots into several blocks.
+        block=st.sampled_from([rerank._BLOCK_ENTRIES, 1, 7, 30]),
     )
-    def test_matches_brute_force_oracle_fuzzed(self, vp, window, top_k):
-        assert_matches_oracle(vp, window=window, top_k=top_k)
+    def test_matches_brute_force_oracle_fuzzed(self, vp, window, top_k, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rerank, "_BLOCK_ENTRIES", block)
+            assert_matches_oracle(vp, window=window, top_k=top_k)
 
     @pytest.mark.parametrize("frame_ids", [(1, 10**9), (1, 2, 10**9)])
     @pytest.mark.parametrize("window", [None, 1, 10**9 - 1])
@@ -242,6 +247,41 @@ class TestRerankScores:
         values = assert_matches_oracle(vp, window=window)
         assert (values[(10**9, 0)] > 0) == (window != 1)
         assert (values[(1, 0)] > 0) == (window != 1 or 2 in frame_ids)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        vp=sparse_videos(),
+        window=st.one_of(st.none(), st.integers(1, 40)),
+        extra=st.integers(0, 3),
+    )
+    def test_top_k_covering_the_widest_frame_is_bit_identical(self, vp, window, extra):
+        widest = max(map(len, vp.frames.values()), default=0)
+        full = rerank_scores(vp, window=window).new_score
+        capped = rerank_scores(vp, window=window, top_k=max(1, widest) + extra).new_score
+        assert capped.tobytes() == full.tobytes()
+
+    # Frames 2 and 10 each hold a box whose right edge overflows, so the IoU
+    # of those two boxes is NaN; the small boxes of frames 1 and 2 overlap.
+    FAR_HUGE_BOXES = [
+        Proposal(1, Box(0, 0, 10, 10), 0.9, 0.8, 0),
+        Proposal(2, Box(1, 0, 10, 10), 0.7, 0.9, 0),
+        Proposal(2, Box(1e308, 0, 1e308, 10), 0.5, 0.5, 1),
+        Proposal(10, Box(1e308, 0, 1e308, 10), 0.5, 0.5, 1),
+    ]
+
+    @pytest.mark.parametrize("window", [1, 5])
+    def test_pairs_beyond_the_window_add_nothing(self, window):
+        vp = VideoProposals.from_proposals("v", "q", self.FAR_HUGE_BOXES)
+        values = assert_matches_oracle(vp, window=window)
+        assert all(math.isfinite(value) for value in values.values())
+        assert values[(10, 1)] == 0.0
+        assert values[(2, 0)] > 0
+
+    def test_far_huge_boxes_with_the_full_sum_raise(self):
+        vp = VideoProposals.from_proposals("v", "q", self.FAR_HUGE_BOXES)
+        with pytest.raises(ValueError) as raised:
+            rerank_scores(vp)
+        assert str(raised.value) == "re-ranked score is not finite in v/q, frame 2, id 1"
 
     def test_top_k_ties_keep_the_lower_id(self):
         # Equal score and objectness: the source kept by top_k=1 is id 0,
