@@ -14,14 +14,16 @@ zero, so they are excluded rather than dividing by it.
 
 The sum is evaluated one offset k at a time between the sorted non-empty
 frames, on a table with one lane per frame, the innermost axis, and one slot
-per proposal rank, best first, so a frame's K sources are its first K slots.
-Offset k pairs the first F - k lanes with the last F - k.  Per pair, one IoU
-block of every slot of the earlier frame against the later frame's sources
-feeds both sides, since IoU is symmetric; a second takes the later frame's
-other slots against the earlier sources.  That is 2PK - K^2 IoU entries for
-P proposals per frame, P^2 with ``top_k`` off.  ``window`` stops the offsets once every
-pair lies beyond it.  Weights use the true frame distances, so sparse or
-huge frame ids cost nothing extra.
+per proposal.  With ``top_k`` below the widest frame the slots rank best
+first, so a frame's K sources are its first K slots.  Offset k pairs the
+first F - k lanes with the last F - k, two slices of the table.  Per pair,
+one IoU block of every slot of the earlier frame against the later frame's
+sources feeds both sides, since IoU is symmetric; a second takes the later
+frame's other slots against the earlier sources.  That is 2PK - K^2 IoU
+entries for P proposals per frame, P^2 with ``top_k`` off.  With ``window``,
+an offset with pairs beyond it takes only its near lanes, and the offsets
+stop once every pair lies beyond it.  Weights use the true frame distances,
+so sparse or huge frame ids cost nothing extra.
 
 Proposals live in one columnar table per (video, query),
 :class:`VideoProposals`, with rows kept in (frame, id) order: one
@@ -189,23 +191,24 @@ class Track:
         return self.entries.get(frame)
 
 
-def _add_support(rows, sources, weights, support, far, scratch, back=None) -> None:
-    """Add to ``support`` what every row slot draws from the source slots.
+def _overlap_support(rows, sources, weights, scratch, back_weights=None) -> tuple:
+    """What every row slot draws from the source slots: ``(to_rows, to_sources)``.
 
-    ``rows`` and ``sources`` are ``(5, slots, lanes)`` views of the kernel's
+    ``rows`` and ``sources`` are ``(5, slots, lanes)`` parts of the kernel's
     table (``x0, y0, x1, y1, area``); lane l of both holds the two frames of
     one pair, and ``weights`` holds the sources' weights over that pair's
     distance.  The IoU block is computed a few row slots at a time, in place
-    in ``scratch``, and zeroed on the ``far`` lanes, whose pairs lie beyond
-    the window.  ``back``, a ``(weights, support)`` pair for the first row
-    slots, also sends their support to the sources through the same block.
+    in ``scratch``.  With ``back_weights``, the weights of the first row
+    slots, the same block also gives ``to_sources``, what those slots send
+    to the sources; without, ``to_sources`` is None.
     """
     slots, lanes = rows.shape[1:]
     entries = len(weights) * lanes
     step = max(1, _BLOCK_ENTRIES // entries)
     rx0, ry0, rx1, ry1, rarea = rows[:, :, None]
     sx0, sy0, sx1, sy1, sarea = sources[:, None]
-    back_weights, back_support = back or ((), None)
+    to_rows = np.empty((slots, lanes))
+    to_sources = None if back_weights is None else np.zeros(weights.shape)
     for start in range(0, slots, step):
         stop = min(start + step, slots)
         ix, iy, low = scratch[:, :(stop - start) * entries].reshape(3, -1, *weights.shape)
@@ -219,13 +222,12 @@ def _add_support(rows, sources, weights, support, far, scratch, back=None) -> No
         np.add(rarea[start:stop], sarea, out=iy)
         iy -= overlaps
         overlaps /= iy
-        if far is not None:
-            np.copyto(overlaps, 0.0, where=far)
-        support[start:stop] += np.einsum("rkl,kl->rl", overlaps, weights)
-        if start < len(back_weights):
+        np.einsum("rkl,kl->rl", overlaps, weights, out=to_rows[start:stop])
+        if to_sources is not None and start < len(back_weights):
             end = min(stop, len(back_weights))
-            back_support += np.einsum("rkl,rl->kl", overlaps[:end - start],
-                                      back_weights[start:end])
+            to_sources += np.einsum("rkl,rl->kl", overlaps[:end - start],
+                                    back_weights[start:end])
+    return to_rows, to_sources
 
 
 # IoU entries per block: bounds the kernel's scratch memory (three float64
@@ -279,15 +281,18 @@ def rerank_scores(
 
     sources = vp.objectness * vp.scores
     _require_finite(vp, sources, "source weight objectness x score")
-    # One lane per non-empty frame, the innermost axis, and one slot per rank
-    # in it, best first, so that a frame's K sources are its first K slots;
-    # padding is a unit box with weight 0.
-    count = len(vp.frame_ids)
-    order = _best_first(vp, vp.scores, vp.objectness)
-    slot = np.empty_like(vp.frame_of)
-    slot[order] = np.arange(len(vp.ids)) - vp.frame_starts()[vp.frame_of]
-    width = int(slot.max(initial=-1)) + 1
+    # One lane per non-empty frame, the innermost axis, and one slot per
+    # proposal in it; padding is a unit box with weight 0.  When K is below
+    # the widest frame, slots rank best first, so that a frame's K sources
+    # are its first K slots; otherwise every slot is a source and they stay
+    # in id order.
+    count, every_row = len(vp.frame_ids), np.arange(len(vp.ids))
+    starts = vp.frame_starts()
+    width = int(np.diff(starts, append=len(every_row)).max(initial=0))
     k_top = width if top_k is None else min(top_k, width)
+    order = _best_first(vp, vp.scores, vp.objectness) if k_top < width else every_row
+    slot = np.empty_like(vp.frame_of)
+    slot[order] = every_row - starts[vp.frame_of]
     cells = (slot, vp.frame_of)
     table = np.zeros((5, width, count))
     table[2:] = 1.0
@@ -302,26 +307,31 @@ def rerank_scores(
     # Offset k pairs early lane i with late lane i + k: IoU of every early
     # slot against the late sources, which also sends the early sources'
     # support to the late ones, then of the other late slots against the
-    # early sources.  Distances only grow with k, so the loop ends at the
-    # first offset whose pairs all lie beyond the window.
+    # early sources.  The lanes are two slices of the table; when some pairs
+    # lie beyond the window, only the near lanes are taken, so a far pair
+    # costs nothing and its distance is never converted.  Distances only
+    # grow with k, so the loop ends at the first offset with no near pair.
     for k in range(1, count):
-        lanes = count - k
-        gaps = frames[k:] - frames[:lanes]
-        far = None
+        gaps = frames[k:] - frames[:count - k]
+        early, late = slice(0, count - k), slice(k, count)
         if window is not None:
-            far = gaps > window
-            if far.all():
+            near = np.flatnonzero(gaps <= window)
+            if near.size == 0:
                 break
-            far = far if far.any() else None
+            if near.size < gaps.size:
+                early, late, gaps = near, near + k, gaps[near]
         distance = gaps.astype(float)
-        early, late = table[:, :, :lanes], table[:, :, k:]
-        to_early = weights[:k_top, :lanes] / distance
-        to_late = weights[:k_top, k:] / distance
-        _add_support(early, late[:, :k_top], to_late, support[:, :lanes], far, scratch,
-                     back=(to_early, support[:k_top, k:]))
+        boxes_early, boxes_late = table[:, :, early], table[:, :, late]
+        to_early = weights[:k_top, early] / distance
+        to_late = weights[:k_top, late] / distance
+        to_rows, to_sources = _overlap_support(boxes_early, boxes_late[:, :k_top], to_late,
+                                               scratch, back_weights=to_early)
+        support[:, early] += to_rows
+        support[:k_top, late] += to_sources
         if k_top < width:
-            _add_support(late[:, k_top:], early[:, :k_top], to_early, support[k_top:, k:], far,
-                         scratch)
+            to_rows, _ = _overlap_support(boxes_late[:, k_top:], boxes_early[:, :k_top],
+                                          to_early, scratch)
+            support[k_top:, late] += to_rows
     new_score = vp.scores * support[cells]
     _require_finite(vp, new_score, "re-ranked score")
     return ScoredVideo(vp, new_score)

@@ -248,6 +248,18 @@ class TestRerankScores:
         assert (values[(10**9, 0)] > 0) == (window != 1)
         assert (values[(1, 0)] > 0) == (window != 1 or 2 in frame_ids)
 
+    @pytest.mark.parametrize("window", [1, 10**9])
+    def test_frame_ids_beyond_float_range_outside_the_window(self, window):
+        # The gap from frame 2 to frame 10**400 does not fit a float; it lies
+        # beyond the window, so it must never be converted.
+        proposals = [
+            Proposal(frame, Box(0, 0, 10, 10), 0.9, 0.8, 0) for frame in (1, 2, 10**400)
+        ]
+        vp = VideoProposals.from_proposals("v", "q", proposals)
+        values = assert_matches_oracle(vp, window=window)
+        assert values[(10**400, 0)] == 0.0
+        assert values[(1, 0)] > 0
+
     @settings(max_examples=150, deadline=None)
     @given(
         vp=sparse_videos(),
