@@ -32,7 +32,6 @@ from .rerank import (
     Proposal,
     ScoredProposal,
     ScoredVideo,
-    Track,
     VideoProposals,
     oracle_assign,
     raw_select,

@@ -23,7 +23,7 @@ from pathlib import Path
 from statistics import fmean
 
 from . import expressions, metrics, rerank, simulate
-from .geometry import Mask, read_mask, write_mask
+from .geometry import Box, Mask, read_mask, write_mask
 from .jsonl import located
 from .reports import render_json, render_text, round4
 from .rng import SplitRng
@@ -172,9 +172,8 @@ def _eval_boxes(args):
 
     reports = {}
     for key in sorted(gt):
-        track = pred.get(key, rerank.Track(key[0], key[1]))
         with located(f"{args.pred_tracks} vs {args.gt_boxes}: {key[0]}/{key[1]}"):
-            series = metrics.track_iou_series(track, gt[key].entries)
+            series = metrics.track_iou_series(pred.get(key, {}), gt[key])
         reports[key] = {
             "track_miou": round4(fmean(series)),
             "auc": round4(metrics.auc_success(series)),
@@ -289,13 +288,13 @@ def cmd_simulate(args) -> int:
         for query, boxes in gt.boxes.items()
     }
     videos = [f"scene_{index:03d}" for index in range(args.scenes)]
-    all_tracks: dict[tuple[str, str], rerank.Track] = {}
+    all_tracks: dict[tuple[str, str], dict[int, Box]] = {}
     all_proposals: dict[tuple[str, str], rerank.VideoProposals] = {}
     for index, video in enumerate(videos):
         rng = SplitRng(corruption.seed, "sweep", args.seed, index)
         for query, vp in simulate.generate_proposals(gt, corruption, video, rng).items():
             all_proposals[(video, query)] = vp
-            all_tracks[(video, query)] = rerank.Track(video, query, gt_entries[query])
+            all_tracks[(video, query)] = gt_entries[query]
 
     extension = ".pbm" if args.mask_format == "pbm" else ".rle"
     with _output(args.out) as out:
@@ -338,17 +337,15 @@ def cmd_simulate(args) -> int:
 def cmd_jitter(args) -> int:
     tracks = rerank.read_tracks(args.gt_boxes)
     root = SplitRng(args.seed, "jitter")
-    jittered: dict[tuple[str, str], rerank.Track] = {}
+    jittered: dict[tuple[str, str], dict[int, Box]] = {}
     for key in sorted(tracks):
-        track = tracks[key]
-        entries = {}
-        for frame in sorted(track.entries):
+        entries = jittered[key] = {}
+        for frame, box in sorted(tracks[key].items()):
             rng = root.child(key[0], key[1], frame)
             with located(f"{args.gt_boxes}: {key[0]}/{key[1]}, frame {frame}"):
                 entries[frame] = simulate.jitter_box(
-                    track.entries[frame], args.fraction, rng, args.width, args.height
+                    box, args.fraction, rng, args.width, args.height
                 )
-        jittered[key] = rerank.Track(key[0], key[1], entries)
     with _output(args.out) as out:
         rerank.write_tracks(out / "jittered.jsonl", jittered)
     _info(f"jittered {len(jittered)} tracks into {args.out}")
@@ -409,7 +406,7 @@ def cmd_oracle(args) -> int:
         videos = _read_proposals(args.proposals)
         _require_entries(gt, videos, f"ground-truth file {args.gt_boxes}", args.proposals)
         with located(f"{args.proposals} vs {args.gt_boxes}"):
-            tracks = {key: rerank.oracle_assign(videos[key], gt[key].entries) for key in videos}
+            tracks = {key: rerank.oracle_assign(videos[key], gt[key]) for key in videos}
 
     with _output(args.out) as out:
         rerank.write_tracks(out / "tracks.jsonl", tracks)

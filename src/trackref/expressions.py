@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from statistics import fmean
@@ -212,12 +212,7 @@ def write_attributes(path, tagged: list[tuple[QueryRecord, QueryAttributes]]) ->
                 "video": record.video_id,
                 "object": record.object_id,
                 "annotator": record.annotator_id,
-                "is_coco": attrs.is_coco,
-                "has_spatial": attrs.has_spatial,
-                "has_verb": attrs.has_verb,
-                "length_bin": attrs.length_bin,
-                "num_objects_bin": attrs.num_objects_bin,
-                "annotation_type": attrs.annotation_type,
+                **asdict(attrs),
             }) + "\n")
 
 

@@ -1,5 +1,8 @@
 """Track and mask evaluation: region overlap, boundary accuracy, stability.
 
+A box track is a plain ``{frame: Box}`` mapping, the shape of ground truth
+too, so evaluation needs nothing from the re-ranker.
+
 Per-frame region similarity is mask IoU (Jaccard); boundary accuracy is the
 F-measure between mask contours under a pixel tolerance.  Each per-frame
 series is summarized as mean / recall / decay:
@@ -25,7 +28,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geometry import Box, Mask, box_iou, boundary_pixels, mask_bbox, mask_iou
-from .rerank import Track
 
 SUCCESS_THRESHOLD_COUNT = 21  # thresholds 0.00, 0.05, ..., 1.00
 
@@ -73,7 +75,7 @@ class QueryAttributes:
             raise ValueError(f"invalid annotation_type {self.annotation_type!r}")
 
 
-def track_iou_series(pred: Track, gt_boxes: Mapping[int, Box | None]) -> list[float]:
+def track_iou_series(pred: Mapping[int, Box], gt_boxes: Mapping[int, Box | None]) -> list[float]:
     """Per-frame overlap of a track against ground-truth boxes.
 
     Frames with a ground-truth box define the evaluation set; a missing
@@ -86,14 +88,14 @@ def track_iou_series(pred: Track, gt_boxes: Mapping[int, Box | None]) -> list[fl
         raise ValueError("no ground-truth frames to evaluate")
     series = []
     for frame in frames:
-        predicted = pred.box_at(frame)
+        predicted = pred.get(frame)
         series.append(0.0 if predicted is None else box_iou(predicted, gt_boxes[frame]))
         if not math.isfinite(series[-1]):
             raise ValueError(f"box IoU at frame {frame} is not finite: {series[-1]}")
     return series
 
 
-def track_miou(pred: Track, gt_boxes: Mapping[int, Box | None]) -> float:
+def track_miou(pred: Mapping[int, Box], gt_boxes: Mapping[int, Box | None]) -> float:
     return fmean(track_iou_series(pred, gt_boxes))
 
 

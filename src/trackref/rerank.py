@@ -28,13 +28,14 @@ so sparse or huge frame ids cost nothing extra.
 Proposals live in one columnar table per (video, query),
 :class:`VideoProposals`, with rows kept in (frame, id) order: one
 constructor takes its columns, and one builder, ``from_proposals``, checks
-library input.  The kernel scores it into a ``new_score`` column, the
-selections are one ``np.lexsort`` each, and every selected track takes its
-video and query ids from the table it selects from.  One row writer formats
-proposals, scores and tracks.  Two library views, ``VideoProposals.frames``
-and the ``ScoredVideo`` mapping, build ``Proposal``/``ScoredProposal``
-objects.  A source weight or a new score that is not finite
-(``1e200 * 1e200``, say) raises ValueError instead of reaching the output.
+library input.  The kernel scores it into a ``new_score`` column, and the
+selections are one ``np.lexsort`` each.  A track is a plain ``{frame: Box}``
+dict, as ground truth is, named only by the (video, query) key that holds
+it.  One row writer formats proposals, scores and tracks.  Two library
+views, ``VideoProposals.frames`` and the ``ScoredVideo`` mapping, build
+``Proposal``/``ScoredProposal`` objects.  A source weight or a new score
+that is not finite (``1e200 * 1e200``, say), or a frame distance beyond the
+float range, raises ValueError instead of reaching the output.
 
 The proposal and track readers check their lines through the shared reader
 in :mod:`trackref.jsonl`.
@@ -44,8 +45,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Mapping
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import compress
 
@@ -179,18 +181,6 @@ class ScoredVideo(Mapping):
         return len(self.table.frame_ids)
 
 
-@dataclass
-class Track:
-    """One selected box per frame (frames may be absent = no selection)."""
-
-    video_id: str
-    query_id: str
-    entries: dict[int, Box] = field(default_factory=dict)
-
-    def box_at(self, frame: int) -> Box | None:
-        return self.entries.get(frame)
-
-
 def _overlap_support(rows, sources, weights, scratch, back_weights=None) -> tuple:
     """What every row slot draws from the source slots: ``(to_rows, to_sources)``.
 
@@ -256,6 +246,15 @@ def _require_finite(vp: VideoProposals, values: np.ndarray, what: str) -> None:
         )
 
 
+def _distance_error(vp: VideoProposals, early, late) -> ValueError:
+    """The error for the first pair of frames farther apart than the largest float."""
+    a, b = next((a, b) for a, b in zip(early, late) if b - a > sys.float_info.max)
+    return ValueError(
+        f"frame distance does not fit a float in {vp.video_id}/{vp.query_id}: "
+        f"frames {a} and {b}"
+    )
+
+
 @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
 def rerank_scores(
     vp: VideoProposals,
@@ -272,7 +271,9 @@ def rerank_scores(
 
     A single-frame video has no other frames to draw support from, so every
     new score is zero there.  A source weight (objectness x score) or a new
-    score that is not finite raises ValueError naming the video and query.
+    score that is not finite, or a frame distance within ``window`` that does
+    not fit a float (frames 1 and 10**400, say), raises ValueError naming the
+    video and query.
     """
     if window is not None and window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -320,7 +321,10 @@ def rerank_scores(
                 break
             if near.size < gaps.size:
                 early, late, gaps = near, near + k, gaps[near]
-        distance = gaps.astype(float)
+        try:
+            distance = gaps.astype(float)
+        except OverflowError:
+            raise _distance_error(vp, frames[early], frames[late]) from None
         boxes_early, boxes_late = table[:, :, early], table[:, :, late]
         to_early = weights[:k_top, early] / distance
         to_late = weights[:k_top, late] / distance
@@ -337,34 +341,31 @@ def rerank_scores(
     return ScoredVideo(vp, new_score)
 
 
-def _track(vp: VideoProposals, frames, rows: np.ndarray) -> Track:
-    """The track of ``vp``'s video and query: the box of ``rows[i]`` at ``frames[i]``."""
-    return Track(vp.video_id, vp.query_id, {
-        frame: Box(*box) for frame, box in zip(frames, vp.boxes[rows].tolist())
-    })
+def _track(vp: VideoProposals, frames, rows: np.ndarray) -> dict[int, Box]:
+    """The track ``{frames[i]: box of rows[i]}``; frames absent have no selection."""
+    return {frame: Box(*box) for frame, box in zip(frames, vp.boxes[rows].tolist())}
 
 
-def select_track(scored: ScoredVideo) -> Track:
+def select_track(scored: ScoredVideo) -> dict[int, Box]:
     """Per frame, the box of the maximum new score.
 
     Ties break on higher raw score, then higher objectness, then lower
     proposal id, so the output is deterministic.  ``scored`` is what
-    :func:`rerank_scores` returns; the track takes its video and query ids
-    from ``scored.table``.
+    :func:`rerank_scores` returns.
     """
     vp = scored.table
     best = _best_first(vp, scored.new_score, vp.scores, vp.objectness)[vp.frame_starts()]
     return _track(vp, vp.frame_ids, best)
 
 
-def raw_select(vp: VideoProposals) -> Track:
+def raw_select(vp: VideoProposals) -> dict[int, Box]:
     """Baseline selection: per-frame argmax of the raw matching score."""
     best = _best_first(vp, vp.scores, vp.objectness)[vp.frame_starts()]
     return _track(vp, vp.frame_ids, best)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite overlaps raise below
-def oracle_assign(vp: VideoProposals, gt_boxes: dict[int, Box | None]) -> Track:
+def oracle_assign(vp: VideoProposals, gt_boxes: Mapping[int, Box | None]) -> dict[int, Box]:
     """Per frame, the proposal box with the highest ground-truth overlap.
 
     Frames without a ground-truth box or without proposals get no entry.
@@ -443,13 +444,9 @@ def _row_template(*fields: str) -> str:
     return "{{" + ", ".join(f"{key}: {{}}" for key in map(_literal, fields)) + "}}\n"
 
 
-_PROPOSAL_ROW = _row_template(
-    "video", "query", "frame", "x", "y", "w", "h", "score", "objectness", "id"
-)
-_SCORE_ROW = _row_template(
-    "video", "query", "frame", "x", "y", "w", "h", "score", "objectness", "id", "new_score"
-)
-_TRACK_ROW = _row_template("video", "query", "frame", "x", "y", "w", "h")
+_PROPOSAL_ROW = _row_template(*_PROPOSAL_FIELDS)
+_SCORE_ROW = _row_template(*_PROPOSAL_FIELDS, "new_score")
+_TRACK_ROW = _row_template(*_TRACK_FIELDS)
 
 
 def _write_rows(handle, template: str, video: str, query: str, *columns) -> None:
@@ -478,31 +475,32 @@ def write_proposals(path, videos: dict[tuple[str, str], VideoProposals]) -> None
             _write_rows(handle, _PROPOSAL_ROW, *key, *_table_columns(videos[key]))
 
 
-def read_tracks(path) -> dict[tuple[str, str], Track]:
+def read_tracks(path) -> dict[tuple[str, str], dict[int, Box]]:
     """Read a track JSONL file (also used for ground-truth box files)."""
-    tracks: dict[tuple[str, str], Track] = {}
+    tracks: dict[tuple[str, str], dict[int, Box]] = {}
 
     def add(video, query, frame, x, y, w, h):
         if frame < 1:
             raise ValueError(f"frame index must be >= 1, got {frame}")
         box = Box(x, y, w, h)
-        track = tracks.setdefault((video, query), Track(video, query))
-        if frame in track.entries:
+        track = tracks.setdefault((video, query), {})
+        if frame in track:
             raise ValueError(f"duplicate frame {frame} for {video}/{query}")
-        track.entries[frame] = box
+        track[frame] = box
 
     read_jsonl(path, _TRACK_FIELDS, add)
     return tracks
 
 
-def write_tracks(path, tracks: dict[tuple[str, str], Track]) -> None:
-    """Write every track's entries in frame order; box fields as floats."""
+def write_tracks(path, tracks: Mapping[tuple[str, str], Mapping[int, Box]]) -> None:
+    """Write every track in frame order, each row named by the track's key;
+    box fields as floats."""
     with open(path, "w", encoding="utf-8") as handle:
         for key in sorted(tracks):
             track = tracks[key]
-            frames = sorted(track.entries)
-            boxes = [track.entries[frame] for frame in frames]
-            _write_rows(handle, _TRACK_ROW, track.video_id, track.query_id, frames,
+            frames = sorted(track)
+            boxes = [track[frame] for frame in frames]
+            _write_rows(handle, _TRACK_ROW, *key, frames,
                         *([float(getattr(box, side)) for box in boxes] for side in "xywh"))
 
 

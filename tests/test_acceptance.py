@@ -134,9 +134,9 @@ def test_02_formula_golden():
         for key, target in oracle.items():
             assert abs(values[key] - target) <= 1e-12
         tube = select_track(scored)
-        assert tube.entries == {1: p2.box, 2: p4.box}
+        assert tube == {1: p2.box, 2: p4.box}
         baseline = raw_select(vp)
-        assert baseline.entries == {1: p1.box, 2: p4.box}
+        assert baseline == {1: p1.box, 2: p4.box}
 
 
 def test_03_brute_force_equivalence():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from trackref.cli import main
 from trackref.geometry import Box
-from trackref.rerank import Track, write_tracks
+from trackref.rerank import write_tracks
 from trackref.rng import SplitRng, box_muller, mix64, mix64_array
 from trackref.simulate import CorruptionSpec, generate_proposals, generate_scene, parse_scene_spec
 
@@ -159,32 +159,32 @@ sides = st.tuples(side, side).filter(lambda wh: wh[0] * wh[1] > 0)
 name = st.one_of(
     st.text(max_size=8), st.sampled_from(['{}', '{0}', '}{', 'a"b\\', 'é\U0001f600'])
 )
-tracks = st.builds(
-    Track, name, name,
+tracks = st.dictionaries(
+    st.tuples(name, name),
     st.dictionaries(
         st.one_of(st.integers(1, 1 << 20), st.just(2**70)),
         st.builds(lambda x, y, wh: Box(x, y, *wh), coordinate, coordinate, sides),
         max_size=5,
     ),
+    max_size=3,
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(tracks, max_size=3))
-@example([Track('sc"ene{0}', "}{", {
+@given(tracks)
+@example({('sc"ene{0}', "}{"): {
     2**70: Box(-0.0, 5e-324, 1e308, 5e-324), 1: Box(20, np.float64(0.1), 10, 1 << 60),
-})])
+}})
 def test_write_tracks_matches_json_dumps(tmp_path_factory, tracks):
-    by_key = {(track.video_id, track.query_id): track for track in tracks}
     path = tmp_path_factory.mktemp("tracks") / "tracks.jsonl"
-    write_tracks(path, by_key)
+    write_tracks(path, tracks)
     expected = "".join(
         json.dumps({
-            "video": track.video_id, "query": track.query_id, "frame": frame,
+            "video": video, "query": query, "frame": frame,
             "x": float(box.x), "y": float(box.y), "w": float(box.w), "h": float(box.h),
         }) + "\n"
-        for track in map(by_key.get, sorted(by_key))
-        for frame, box in sorted(track.entries.items())
+        for (video, query), track in sorted(tracks.items())
+        for frame, box in sorted(track.items())
     )
     assert path.read_text(encoding="utf-8") == expected
 

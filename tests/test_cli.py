@@ -18,7 +18,7 @@ import trackref
 
 from trackref.cli import main
 from trackref.geometry import Box, rasterize_box, read_mask, write_mask
-from trackref.rerank import Track, read_tracks, write_tracks
+from trackref.rerank import read_tracks, write_tracks
 
 TOY_PROPOSALS = [
     {"video": "vid", "query": "q", "frame": 1, "x": 0, "y": 0, "w": 10, "h": 10,
@@ -239,7 +239,7 @@ class TestRerankCommand:
         out = tmp_path / "out"
         assert main(["rerank", "--proposals", str(toy_proposals_file), "--out", str(out)]) == 0
         tracks = read_tracks(out / "tracks.jsonl")
-        assert tracks[("vid", "q")].entries == {
+        assert tracks[("vid", "q")] == {
             1: Box(20, 0, 10, 10), 2: Box(20, 0, 10, 10),
         }
         scores = [json.loads(line) for line in (out / "scores.jsonl").read_text().splitlines()]
@@ -252,7 +252,7 @@ class TestRerankCommand:
             "rerank", "--proposals", str(toy_proposals_file), "--out", str(out), "--raw",
         ]) == 0
         baseline = read_tracks(out / "raw_tracks.jsonl")
-        assert baseline[("vid", "q")].entries == {
+        assert baseline[("vid", "q")] == {
             1: Box(0, 0, 10, 10), 2: Box(20, 0, 10, 10),
         }
 
@@ -289,7 +289,7 @@ class TestRerankCommand:
             "--window", "1", "--top-k", "2", "--jobs", "2",
         ]) == 0
         tracks = read_tracks(out / "tracks.jsonl")
-        assert tracks[("vid", "q")].entries == {
+        assert tracks[("vid", "q")] == {
             1: Box(20, 0, 10, 10), 2: Box(20, 0, 10, 10),
         }
 
@@ -309,12 +309,29 @@ class TestRerankCommand:
         assert f"error: {path}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_frame_distance_beyond_float_range_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "proposals.jsonl"
+        write_jsonl(path, [dict(TOY_PROPOSALS[0], frame=frame) for frame in (1, 2, 10**400)])
+        out = tmp_path / "out"
+        assert main(["rerank", "--proposals", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: frame distance does not fit a float in vid/q: "
+            f"frames 2 and {10**400}\n"
+        )
+        assert not out.exists()
+        # Within a window of 1 the far frame draws no support and needs no weight.
+        assert main(["rerank", "--proposals", str(path), "--out", str(out), "--window", "1"]) == 0
+        scores = [json.loads(line) for line in (out / "scores.jsonl").read_text().splitlines()]
+        assert [(row["frame"], row["new_score"] > 0) for row in scores] == [
+            (1, True), (2, True), (10**400, False),
+        ]
+
 
 class TestEvalCommand:
     def test_perfect_boxes(self, tmp_path):
         gt = tmp_path / "gt.jsonl"
         tracks = {
-            ("v", "1"): Track("v", "1", {1: Box(0, 0, 4, 4), 2: Box(1, 0, 4, 4)}),
+            ("v", "1"): {1: Box(0, 0, 4, 4), 2: Box(1, 0, 4, 4)},
         }
         write_tracks(gt, tracks)
         out = tmp_path / "report"
@@ -344,9 +361,9 @@ class TestEvalCommand:
 
     def test_text_and_json_agree(self, tmp_path):
         gt = tmp_path / "gt.jsonl"
-        write_tracks(gt, {("v", "1"): Track("v", "1", {1: Box(0, 0, 4, 4)})})
+        write_tracks(gt, {("v", "1"): {1: Box(0, 0, 4, 4)}})
         pred = tmp_path / "pred.jsonl"
-        write_tracks(pred, {("v", "1"): Track("v", "1", {1: Box(2, 0, 4, 4)})})
+        write_tracks(pred, {("v", "1"): {1: Box(2, 0, 4, 4)}})
         out = tmp_path / "report"
         assert main([
             "eval", "--pred-tracks", str(pred), "--gt-boxes", str(gt), "--out", str(out),
@@ -361,13 +378,13 @@ class TestEvalCommand:
     def test_aggregate_is_mean_of_reported_queries(self, tmp_path):
         gt = tmp_path / "gt.jsonl"
         write_tracks(gt, {
-            ("v", "1"): Track("v", "1", {1: Box(0, 0, 10, 10)}),
-            ("v", "2"): Track("v", "2", {1: Box(0, 0, 10, 10)}),
+            ("v", "1"): {1: Box(0, 0, 10, 10)},
+            ("v", "2"): {1: Box(0, 0, 10, 10)},
         })
         pred = tmp_path / "pred.jsonl"
         write_tracks(pred, {
-            ("v", "1"): Track("v", "1", {1: Box(0, 0, 10, 10)}),
-            ("v", "2"): Track("v", "2", {1: Box(5, 0, 10, 10)}),
+            ("v", "1"): {1: Box(0, 0, 10, 10)},
+            ("v", "2"): {1: Box(5, 0, 10, 10)},
         })
         out = tmp_path / "report"
         assert main([
@@ -380,9 +397,9 @@ class TestEvalCommand:
 
     def test_prediction_without_gt_aborts_listing_key(self, tmp_path, capsys):
         gt = tmp_path / "gt.jsonl"
-        write_tracks(gt, {("v", "1"): Track("v", "1", {1: Box(0, 0, 4, 4)})})
+        write_tracks(gt, {("v", "1"): {1: Box(0, 0, 4, 4)}})
         pred = tmp_path / "pred.jsonl"
-        write_tracks(pred, {("v", "2"): Track("v", "2", {1: Box(0, 0, 4, 4)})})
+        write_tracks(pred, {("v", "2"): {1: Box(0, 0, 4, 4)}})
         code = main(["eval", "--pred-tracks", str(pred), "--gt-boxes", str(gt)])
         assert code == 2
         assert "v/2" in capsys.readouterr().err
@@ -390,13 +407,13 @@ class TestEvalCommand:
     def test_attrs_breakdown(self, tmp_path):
         gt = tmp_path / "gt.jsonl"
         write_tracks(gt, {
-            ("v", "1"): Track("v", "1", {1: Box(0, 0, 10, 10)}),
-            ("v", "2"): Track("v", "2", {1: Box(0, 0, 10, 10)}),
+            ("v", "1"): {1: Box(0, 0, 10, 10)},
+            ("v", "2"): {1: Box(0, 0, 10, 10)},
         })
         pred = tmp_path / "pred.jsonl"
         write_tracks(pred, {
-            ("v", "1"): Track("v", "1", {1: Box(0, 0, 10, 10)}),
-            ("v", "2"): Track("v", "2", {1: Box(90, 90, 10, 10)}),
+            ("v", "1"): {1: Box(0, 0, 10, 10)},
+            ("v", "2"): {1: Box(90, 90, 10, 10)},
         })
         attrs = tmp_path / "attrs.jsonl"
         write_jsonl(attrs, [
@@ -557,7 +574,7 @@ class TestEvalCommand:
 
     def test_failure_leaves_no_partial_report(self, tmp_path):
         gt = tmp_path / "gt.jsonl"
-        write_tracks(gt, {("v", "1"): Track("v", "1", {1: Box(0, 0, 4, 4)})})
+        write_tracks(gt, {("v", "1"): {1: Box(0, 0, 4, 4)}})
         attrs = tmp_path / "attrs.jsonl"
         attrs.write_text("")  # no attribute record for v/1
         out = tmp_path / "report"
@@ -582,7 +599,7 @@ class TestCrossFileErrors:
 
     def test_attributes_file_lacks_a_query(self, tmp_path, capsys):
         gt = tmp_path / "gt.jsonl"
-        write_tracks(gt, {("v", "1"): Track("v", "1", {1: Box(0, 0, 4, 4)})})
+        write_tracks(gt, {("v", "1"): {1: Box(0, 0, 4, 4)}})
         attrs = tmp_path / "a.jsonl"
         write_jsonl(attrs, [
             {"video": "w", "object": "1", "is_coco": True, "has_spatial": False,
@@ -609,11 +626,11 @@ class TestCrossFileErrors:
 
     def test_predicted_tracks_without_ground_truth(self, tmp_path, capsys):
         gt = tmp_path / "gt.jsonl"
-        write_tracks(gt, {("v", "1"): Track("v", "1", {1: Box(0, 0, 4, 4)})})
+        write_tracks(gt, {("v", "1"): {1: Box(0, 0, 4, 4)}})
         pred = tmp_path / "pred.jsonl"
         write_tracks(pred, {
-            ("v", "2"): Track("v", "2", {1: Box(0, 0, 4, 4)}),
-            ("w", "1"): Track("w", "1", {1: Box(0, 0, 4, 4)}),
+            ("v", "2"): {1: Box(0, 0, 4, 4)},
+            ("w", "1"): {1: Box(0, 0, 4, 4)},
         })
         out = tmp_path / "report"
         self._expect_abort(capsys, [
@@ -643,7 +660,7 @@ class TestCrossFileErrors:
         proposals = tmp_path / "proposals.jsonl"
         write_jsonl(proposals, TOY_PROPOSALS)
         gt = tmp_path / "gt.jsonl"
-        write_tracks(gt, {("vid", "other"): Track("vid", "other", {1: Box(0, 0, 4, 4)})})
+        write_tracks(gt, {("vid", "other"): {1: Box(0, 0, 4, 4)}})
         out = tmp_path / "out"
         self._expect_abort(capsys, [
             "oracle", "--oracle", "grounding", "--proposals", str(proposals),
@@ -1123,16 +1140,16 @@ class TestOracleAndPipeline:
         proposals = tmp_path / "proposals.jsonl"
         write_jsonl(proposals, TOY_PROPOSALS)
         gt = tmp_path / "gt.jsonl"
-        write_tracks(gt, {("vid", "q"): Track("vid", "q", {
+        write_tracks(gt, {("vid", "q"): {
             1: Box(20, 0, 10, 10), 2: Box(20, 0, 10, 10),
-        })})
+        }})
         out = tmp_path / "out"
         assert main([
             "oracle", "--oracle", "grounding", "--proposals", str(proposals),
             "--gt-boxes", str(gt), "--out", str(out),
         ]) == 0
         tracks = read_tracks(out / "tracks.jsonl")
-        assert tracks[("vid", "q")].entries == {
+        assert tracks[("vid", "q")] == {
             1: Box(20, 0, 10, 10), 2: Box(20, 0, 10, 10),
         }
 
@@ -1163,7 +1180,7 @@ class TestOracleAndPipeline:
 
     def test_oracle_grounding_requires_proposals(self, tmp_path):
         gt = tmp_path / "gt.jsonl"
-        write_tracks(gt, {("v", "q"): Track("v", "q", {1: Box(0, 0, 2, 2)})})
+        write_tracks(gt, {("v", "q"): {1: Box(0, 0, 2, 2)}})
         assert main([
             "oracle", "--oracle", "grounding", "--gt-boxes", str(gt),
             "--out", str(tmp_path / "o"),
@@ -1197,9 +1214,9 @@ class TestOracleAndPipeline:
 class TestJitterCommand:
     def test_zero_fraction_reproduces_input(self, tmp_path):
         boxes = tmp_path / "boxes.jsonl"
-        write_tracks(boxes, {("v", "1"): Track("v", "1", {
+        write_tracks(boxes, {("v", "1"): {
             1: Box(4.0, 6.0, 10.0, 8.0), 2: Box(6.0, 6.0, 10.0, 8.0),
-        })})
+        }})
         out = tmp_path / "out"
         assert main([
             "jitter", "--gt-boxes", str(boxes), "--fraction", "0",
@@ -1209,25 +1226,25 @@ class TestJitterCommand:
 
     def test_jitter_moves_boxes_within_bounds(self, tmp_path):
         boxes = tmp_path / "boxes.jsonl"
-        write_tracks(boxes, {("v", "1"): Track("v", "1", {
+        write_tracks(boxes, {("v", "1"): {
             f: Box(4.0, 6.0, 10.0, 8.0) for f in range(1, 30)
-        })})
+        }})
         out = tmp_path / "out"
         assert main([
             "jitter", "--gt-boxes", str(boxes), "--fraction", "0.2",
             "--width", "48", "--height", "32", "--out", str(out), "--seed", "9",
         ]) == 0
         jittered = read_tracks(out / "jittered.jsonl")[("v", "1")]
-        moved = sum(1 for f, b in jittered.entries.items() if b != Box(4.0, 6.0, 10.0, 8.0))
+        moved = sum(1 for f, b in jittered.items() if b != Box(4.0, 6.0, 10.0, 8.0))
         assert moved > 20
-        for box in jittered.entries.values():
+        for box in jittered.values():
             assert box.x >= 0 and box.y >= 0
             assert box.x + box.w <= 48 and box.y + box.h <= 32
 
     def test_underflowing_box_names_its_source(self, tmp_path, capsys):
         # A frame this small forces 1e-300-sided boxes, whose area is 0.
         boxes = tmp_path / "gt.jsonl"
-        write_tracks(boxes, {("v", "1"): Track("v", "1", {1: Box(4.0, 6.0, 10.0, 8.0)})})
+        write_tracks(boxes, {("v", "1"): {1: Box(4.0, 6.0, 10.0, 8.0)}})
         out = tmp_path / "out"
         assert main([
             "jitter", "--gt-boxes", str(boxes), "--fraction", "0.1",
@@ -1523,7 +1540,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("value", ["0", "-2", "1"])
     def test_oracle_rejects_non_positive_window_and_top_k(self, tmp_path, capsys, flag, value):
         gt = tmp_path / "gt.jsonl"
-        write_tracks(gt, {("v", "1"): Track("v", "1", {1: Box(0, 0, 4, 4), 2: Box(1, 0, 4, 4)})})
+        write_tracks(gt, {("v", "1"): {1: Box(0, 0, 4, 4), 2: Box(1, 0, 4, 4)}})
         out = tmp_path / "out"
         assert main([
             "oracle", "--oracle", "boxes", "--gt-boxes", str(gt), "--out", str(out), flag, value,

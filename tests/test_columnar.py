@@ -24,7 +24,6 @@ from trackref.geometry import Box, box_iou
 from trackref.rerank import (
     Proposal,
     ScoredVideo,
-    Track,
     VideoProposals,
     oracle_assign,
     raw_select,
@@ -136,7 +135,7 @@ def test_huge_frame_and_proposal_ids_round_trip(tmp_path):
 # Selection against the per-row definitions
 # ---------------------------------------------------------------------------
 
-def select_track_by_max(scored, video_id="", query_id=""):
+def select_track_by_max(scored):
     """Per frame, ``max`` over candidates of (new score, raw score, objectness, -id)."""
     entries = {}
     for frame, candidates in scored.items():
@@ -152,7 +151,7 @@ def select_track_by_max(scored, video_id="", query_id=""):
             ),
         )
         entries[frame] = best.proposal.box
-    return Track(video_id, query_id, entries)
+    return entries
 
 
 def raw_select_by_max(vp):
@@ -162,7 +161,7 @@ def raw_select_by_max(vp):
             continue
         best = max(candidates, key=lambda p: (p.score, p.objectness, -p.proposal_id))
         entries[frame] = best.box
-    return Track(vp.video_id, vp.query_id, entries)
+    return entries
 
 
 def oracle_assign_by_max(vp, gt_boxes):
@@ -175,7 +174,7 @@ def oracle_assign_by_max(vp, gt_boxes):
             continue
         best = max(candidates, key=lambda p: (box_iou(p.box, gt), -p.proposal_id))
         entries[frame] = best.box
-    return Track(vp.video_id, vp.query_id, entries)
+    return entries
 
 
 # Few distinct values, so that ties fall on every key; zero is common, so
@@ -210,7 +209,7 @@ ALL_TIED = VideoProposals.from_proposals("v", "q", [
 @example(vp=ALL_TIED, window=None, top_k=1)
 def test_select_track_equals_max(vp, window, top_k):
     scored = rerank_scores(vp, window=window, top_k=top_k)
-    assert select_track(scored) == select_track_by_max(scored, "v", "q")
+    assert select_track(scored) == select_track_by_max(scored)
 
 
 @settings(max_examples=200, deadline=None)

@@ -21,7 +21,6 @@ from trackref.metrics import (
     track_iou_series,
     track_miou,
 )
-from trackref.rerank import Track
 
 # Independent oracles, written before the operations they check.
 
@@ -76,26 +75,26 @@ def _attrs(**overrides):
 class TestTrackMiou:
     def test_perfect_track(self):
         gt = {1: Box(0, 0, 4, 4), 2: Box(2, 0, 4, 4)}
-        track = Track("v", "q", dict(gt))
+        track = dict(gt)
         assert track_miou(track, gt) == 1.0
 
     def test_missing_predictions_score_zero(self):
         gt = {1: Box(0, 0, 4, 4), 2: Box(2, 0, 4, 4)}
-        assert track_miou(Track("v", "q"), gt) == 0.0
+        assert track_miou({}, gt) == 0.0
 
     def test_mixed_overlap(self):
         gt = {1: Box(0, 0, 10, 10), 2: Box(0, 0, 10, 10)}
-        track = Track("v", "q", {1: Box(0, 0, 10, 10), 2: Box(5, 0, 10, 10)})
+        track = {1: Box(0, 0, 10, 10), 2: Box(5, 0, 10, 10)}
         assert track_miou(track, gt) == pytest.approx((1.0 + 1 / 3) / 2, abs=1e-12)
 
     def test_gt_none_frames_excluded(self):
         gt = {1: Box(0, 0, 4, 4), 2: None}
-        track = Track("v", "q", {1: Box(0, 0, 4, 4)})
+        track = {1: Box(0, 0, 4, 4)}
         assert track_iou_series(track, gt) == [1.0]
 
     def test_no_gt_frames_rejected(self):
         with pytest.raises(ValueError, match="no ground-truth"):
-            track_miou(Track("v", "q"), {1: None})
+            track_miou({}, {1: None})
 
 
 class TestSeriesStats:
@@ -416,5 +415,5 @@ class TestCrossModuleConsistency:
                 iou = box_iou(pred_entries[frame], gt_boxes[frame])
                 assert abs(j - iou) < 1e-9
                 ious.append(iou)
-            track = Track("v", "q", pred_entries)
+            track = pred_entries
             assert track_miou(track, gt_boxes) == pytest.approx(fmean(ious), abs=1e-9)

@@ -14,4 +14,4 @@ def test_library_example_selects_the_consistent_tube():
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     namespace = {}
     exec(compile(code, str(README), "exec"), namespace)
-    assert namespace["track"].entries == {1: Box(20, 0, 10, 10), 2: Box(20, 0, 10, 10)}
+    assert namespace["track"] == {1: Box(20, 0, 10, 10), 2: Box(20, 0, 10, 10)}

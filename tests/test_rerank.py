@@ -9,7 +9,6 @@ from trackref import rerank
 from trackref.geometry import Box, box_iou
 from trackref.rerank import (
     Proposal,
-    Track,
     VideoProposals,
     oracle_assign,
     raw_select,
@@ -169,7 +168,7 @@ class TestRerankScores:
                 assert scaled_sp.new_score == pytest.approx(
                     sp.new_score * constant ** 2, rel=1e-12
                 )
-        assert select_track(base).entries == select_track(boosted).entries
+        assert select_track(base) == select_track(boosted)
 
     def test_permutation_invariance(self):
         rng = SplitRng(5, "perm")
@@ -260,6 +259,18 @@ class TestRerankScores:
         assert values[(10**400, 0)] == 0.0
         assert values[(1, 0)] > 0
 
+    @pytest.mark.parametrize("window", [None, 10**400], ids=["none", "10**400"])
+    def test_frame_distance_beyond_float_range_inside_the_window(self, window):
+        # The gap from frame 2 to frame 10**400 lies within the window but
+        # does not fit a float, so no weight can be computed for it.
+        proposals = [
+            Proposal(frame, Box(0, 0, 10, 10), 0.9, 0.8, 0) for frame in (1, 2, 10**400)
+        ]
+        vp = VideoProposals.from_proposals("v", "q", proposals)
+        message = f"frame distance does not fit a float in v/q: frames 2 and {10**400}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rerank_scores(vp, window=window)
+
     @settings(max_examples=150, deadline=None)
     @given(
         vp=sparse_videos(),
@@ -319,14 +330,14 @@ class TestSelection:
     def test_toy_selects_consistent_tube(self):
         vp = toy_video()
         track = select_track(rerank_scores(vp))
-        assert track.entries[1] == Box(20, 0, 10, 10)
-        assert track.entries[2] == Box(20, 0, 10, 10)
+        assert track[1] == Box(20, 0, 10, 10)
+        assert track[2] == Box(20, 0, 10, 10)
 
     def test_raw_select_keeps_identity_switch(self):
         vp = toy_video()
         track = raw_select(vp)
-        assert track.entries[1] == Box(0, 0, 10, 10)
-        assert track.entries[2] == Box(20, 0, 10, 10)
+        assert track[1] == Box(0, 0, 10, 10)
+        assert track[2] == Box(20, 0, 10, 10)
 
     def test_all_zero_ties_fall_back_to_raw_score(self):
         vp = VideoProposals.from_proposals("v", "q", [
@@ -334,12 +345,12 @@ class TestSelection:
             Proposal(1, Box(10, 0, 5, 5), 0.9, 0.5, 1),
         ])
         track = select_track(rerank_scores(vp))
-        assert track.entries[1] == Box(10, 0, 5, 5)
+        assert track[1] == Box(10, 0, 5, 5)
 
     def test_empty_frames_have_no_entry(self):
         track = select_track(rerank_scores(VideoProposals.from_proposals("v", "q", [])))
-        assert track.entries == {}
-        assert track.box_at(1) is None
+        assert track == {}
+        assert track.get(1) is None
 
     def test_raw_select_single_proposal_per_frame(self):
         vp = VideoProposals.from_proposals("v", "q", [
@@ -347,14 +358,14 @@ class TestSelection:
             Proposal(2, Box(1, 0, 5, 5), 0.4, 0.9, 0),
         ])
         track = raw_select(vp)
-        assert track.entries == {1: Box(0, 0, 5, 5), 2: Box(1, 0, 5, 5)}
+        assert track == {1: Box(0, 0, 5, 5), 2: Box(1, 0, 5, 5)}
 
     def test_objectness_breaks_equal_raw_scores(self):
         vp = VideoProposals.from_proposals("v", "q", [
             Proposal(1, Box(0, 0, 5, 5), 0.5, 0.2, 0),
             Proposal(1, Box(10, 0, 5, 5), 0.5, 0.8, 1),
         ])
-        assert raw_select(vp).entries[1] == Box(10, 0, 5, 5)
+        assert raw_select(vp)[1] == Box(10, 0, 5, 5)
 
 
 class TestOracleAssign:
@@ -362,7 +373,7 @@ class TestOracleAssign:
         vp = toy_video()
         gt = {1: Box(20, 0, 10, 10), 2: Box(20, 0, 10, 10)}
         track = oracle_assign(vp, gt)
-        assert track.entries == {1: Box(20, 0, 10, 10), 2: Box(20, 0, 10, 10)}
+        assert track == {1: Box(20, 0, 10, 10), 2: Box(20, 0, 10, 10)}
 
     def test_all_disjoint_ties_use_lowest_id(self):
         vp = VideoProposals.from_proposals("v", "q", [
@@ -370,12 +381,12 @@ class TestOracleAssign:
             Proposal(1, Box(10, 0, 5, 5), 0.9, 0.9, 5),
         ])
         track = oracle_assign(vp, {1: Box(50, 50, 5, 5)})
-        assert track.entries[1] == Box(0, 0, 5, 5)
+        assert track[1] == Box(0, 0, 5, 5)
 
     def test_missing_gt_or_proposals_leaves_gaps(self):
         vp = toy_video()
         track = oracle_assign(vp, {1: Box(0, 0, 10, 10), 2: None, 3: Box(0, 0, 1, 1)})
-        assert set(track.entries) == {1}
+        assert set(track) == {1}
 
 
 class TestValidation:
@@ -420,14 +431,14 @@ class TestJsonl:
 
     def test_tracks_round_trip(self, tmp_path):
         tracks = {
-            ("v", "a"): Track("v", "a", {1: Box(0, 0, 2, 2), 3: Box(5, 0, 2, 2)}),
-            ("v", "b"): Track("v", "b", {2: Box(1, 1, 4, 4)}),
+            ("v", "a"): {1: Box(0, 0, 2, 2), 3: Box(5, 0, 2, 2)},
+            ("v", "b"): {2: Box(1, 1, 4, 4)},
         }
         path = tmp_path / "tracks.jsonl"
         write_tracks(path, tracks)
         loaded = read_tracks(path)
-        assert loaded[("v", "a")].entries == tracks[("v", "a")].entries
-        assert loaded[("v", "b")].entries == tracks[("v", "b")].entries
+        assert loaded[("v", "a")] == tracks[("v", "a")]
+        assert loaded[("v", "b")] == tracks[("v", "b")]
 
     def test_duplicate_track_frame_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"

@@ -342,8 +342,8 @@ class TestFixedDistractorScenario:
 
         raw = raw_select(vp)
         reranked = select_track(rerank_scores(vp))
-        assert all(raw.entries[f] == distractor_box for f in range(1, 9))
-        assert all(reranked.entries[f] == distractor_box for f in range(1, 9))
+        assert all(raw[f] == distractor_box for f in range(1, 9))
+        assert all(reranked[f] == distractor_box for f in range(1, 9))
         assert track_miou(reranked, gt) == track_miou(raw, gt)
 
 
