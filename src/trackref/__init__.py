@@ -4,7 +4,6 @@ from .geometry import (
     AffineTransform,
     Box,
     Mask,
-    RleMask,
     box_from_mask,
     box_iou,
     boundary_pixels,
@@ -13,8 +12,8 @@ from .geometry import (
     pbm_dumps,
     pbm_loads,
     rasterize_box,
-    rle_decode,
-    rle_encode,
+    rle_dumps,
+    rle_loads,
     warp_mask,
 )
 from .metrics import (

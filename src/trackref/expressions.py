@@ -20,9 +20,9 @@ from pathlib import Path
 from statistics import fmean
 
 from .jsonl import FLAG, FLAG_OR_NULL, NAME, located, read_jsonl
-from .metrics import QueryAttributes
+from .metrics import ATTRIBUTE_GROUPS, QueryAttributes
 
-ANNOTATION_TYPES = ("first_frame", "full_video")
+ANNOTATION_TYPES = tuple(ATTRIBUTE_GROUPS["annotation_type"])
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
 

@@ -8,6 +8,9 @@ Conventions used throughout the package:
 * Masks are discrete: 2-D boolean numpy arrays indexed ``[row, col]``.  The
   pixel at ``(row, col)`` has center coordinates ``(x, y) = (col, row)``; a
   pixel belongs to a box when its center lies inside the half-open region.
+* Each mask codec is a text pair, ``pbm_dumps``/``pbm_loads`` and
+  ``rle_dumps``/``rle_loads``; ``write_mask`` and ``read_mask`` pick one by
+  file extension.
 * All functions are pure; none mutates its inputs.
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,28 +111,6 @@ class AffineTransform:
             a=cos_t, b=-sin_t, tx=cx - cos_t * cx + sin_t * cy,
             c=sin_t, d=cos_t, ty=cy - sin_t * cx - cos_t * cy,
         )
-
-
-@dataclass(frozen=True)
-class RleMask:
-    """Row-major run-length encoding; the first run counts zeros."""
-
-    height: int
-    width: int
-    runs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError(f"invalid RLE dimensions {self.height}x{self.width}")
-        if any(r < 0 for r in self.runs):
-            raise ValueError("RLE runs must be non-negative")
-        if any(r == 0 for r in self.runs[1:]):
-            raise ValueError("only the leading RLE run may be zero")
-        total = sum(self.runs)
-        if total != self.height * self.width:
-            raise ValueError(
-                f"RLE runs sum to {total}, expected {self.height * self.width}"
-            )
 
 
 def as_mask(values) -> Mask:
@@ -338,49 +320,53 @@ def boundary_pixels(mask: Mask) -> Mask:
     return mask & ~all_neighbors_set
 
 
-def rle_encode(mask: Mask) -> RleMask:
-    """Encode a mask as row-major run lengths, zero run first."""
+# ---------------------------------------------------------------------------
+# Mask codecs and mask files
+# ---------------------------------------------------------------------------
+
+
+def rle_dumps(mask: Mask) -> str:
+    """One-line RLE text: ``RLE <height> <width> <run1> <run2> ...``.
+
+    Runs are row-major and alternate unset/set, starting with unset pixels,
+    so a mask whose first pixel is set starts with a zero run.
+    """
+    height, width = mask.shape
     flat = mask.ravel()
     change_points = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], change_points, [flat.size]))
-    runs = np.diff(bounds).tolist()
-    if flat[0]:
-        runs = [0] + runs
-    return RleMask(mask.shape[0], mask.shape[1], tuple(runs))
+    runs = np.diff(np.concatenate(([0], change_points, [flat.size]))).tolist()
+    lead = "0 " if flat[0] else ""
+    return f"RLE {height} {width} {lead}{' '.join(map(str, runs))}"
 
 
-def rle_decode(rle: RleMask) -> Mask:
-    """Invert :func:`rle_encode` exactly (RleMask validates its invariants)."""
-    values = np.zeros(len(rle.runs), dtype=bool)
-    values[1::2] = True
-    flat = np.repeat(values, rle.runs)
-    return flat.reshape(rle.height, rle.width)
+def rle_loads(text: str) -> Mask:
+    """Parse the text of :func:`rle_dumps` back to its mask, exactly.
 
-
-# ---------------------------------------------------------------------------
-# Mask file formats
-# ---------------------------------------------------------------------------
-
-RLE_LINE_PREFIX = "RLE"
-
-
-def rle_line_dumps(rle: RleMask) -> str:
-    """One-line text form: ``RLE <height> <width> <run1> <run2> ...``."""
-    parts = [RLE_LINE_PREFIX, str(rle.height), str(rle.width)]
-    parts.extend(str(r) for r in rle.runs)
-    return " ".join(parts)
-
-
-def rle_line_loads(line: str) -> RleMask:
-    tokens = line.split()
-    if len(tokens) < 3 or tokens[0] != RLE_LINE_PREFIX:
-        raise ValueError(f"not an RLE mask line: {line[:40]!r}")
+    Sizes beyond ``sys.maxsize`` pixels are rejected before any array is
+    allocated; one that fits is allocated, so a huge one runs out of memory.
+    """
+    tokens = text.split()
+    if len(tokens) < 3 or tokens[0] != "RLE":
+        raise ValueError(f"not an RLE mask line: {text[:40]!r}")
     try:
         height, width = int(tokens[1]), int(tokens[2])
-        runs = tuple(int(t) for t in tokens[3:])
+        runs = list(map(int, tokens[3:]))
     except ValueError as exc:
-        raise ValueError(f"malformed RLE mask line: {line[:40]!r}") from exc
-    return RleMask(height, width, runs)
+        raise ValueError(f"malformed RLE mask line: {text[:40]!r}") from exc
+    if height < 1 or width < 1:
+        raise ValueError(f"invalid RLE dimensions {height}x{width}")
+    if runs and min(runs) < 0:
+        raise ValueError("RLE runs must be non-negative")
+    if 0 in runs[1:]:
+        raise ValueError("only the leading RLE run may be zero")
+    total = sum(runs)
+    if total != height * width:
+        raise ValueError(f"RLE runs sum to {total}, expected {height * width}")
+    if total > sys.maxsize:
+        raise ValueError(f"RLE dimensions {height}x{width} exceed the array size limit")
+    values = np.zeros(len(runs), dtype=bool)
+    values[1::2] = True
+    return np.repeat(values, runs).reshape(height, width)
 
 
 def _pbm_bytes(mask: Mask) -> bytes:
@@ -453,7 +439,7 @@ def write_mask(path, mask: Mask) -> bytes:
     if path.endswith(".pbm"):
         data = _pbm_bytes(mask)
     elif path.endswith(".rle"):
-        data = (rle_line_dumps(rle_encode(mask)) + "\n").encode("ascii")
+        data = (rle_dumps(mask) + "\n").encode("ascii")
     else:
         raise ValueError(f"unsupported mask file extension: {path}")
     with open(path, "wb") as handle:
@@ -478,4 +464,4 @@ def read_mask(path) -> Mask:
             data.decode("ascii")  # raises UnicodeDecodeError, a ValueError
         if path.endswith(".pbm"):
             return _pbm_parse(data)
-        return rle_decode(rle_line_loads(data.decode("ascii")))
+        return rle_loads(data.decode("ascii"))

@@ -55,6 +55,17 @@ class EvalReport:
     f_series: tuple[float, ...]
 
 
+# Each tag's values and the breakdown group each one names, in report order.
+ATTRIBUTE_GROUPS = {
+    "is_coco": {True: "coco", False: "non_coco"},
+    "has_spatial": {True: "spatial", False: "non_spatial"},
+    "has_verb": {True: "verb", False: "no_verb"},
+    "length_bin": {"short": "length_short", "medium": "length_medium", "long": "length_long"},
+    "num_objects_bin": {"1": "objects_1", "2-3": "objects_2_3", ">3": "objects_over_3"},
+    "annotation_type": {"first_frame": "first_frame", "full_video": "full_video"},
+}
+
+
 @dataclass(frozen=True)
 class QueryAttributes:
     """Per-query tags driving the attribute breakdown tables."""
@@ -62,17 +73,16 @@ class QueryAttributes:
     is_coco: bool
     has_spatial: bool
     has_verb: bool
-    length_bin: str  # "short" | "medium" | "long"
-    num_objects_bin: str  # "1" | "2-3" | ">3"
-    annotation_type: str  # "first_frame" | "full_video"
+    length_bin: str
+    num_objects_bin: str
+    annotation_type: str
 
     def __post_init__(self):
-        if self.length_bin not in ("short", "medium", "long"):
-            raise ValueError(f"invalid length_bin {self.length_bin!r}")
-        if self.num_objects_bin not in ("1", "2-3", ">3"):
-            raise ValueError(f"invalid num_objects_bin {self.num_objects_bin!r}")
-        if self.annotation_type not in ("first_frame", "full_video"):
-            raise ValueError(f"invalid annotation_type {self.annotation_type!r}")
+        for name, groups in ATTRIBUTE_GROUPS.items():
+            value = getattr(self, name)
+            # A tuple compares by ==, so an unhashable value is invalid, not a TypeError.
+            if value not in tuple(groups):
+                raise ValueError(f"invalid {name} {value!r}")
 
 
 def track_iou_series(pred: Mapping[int, Box], gt_boxes: Mapping[int, Box | None]) -> list[float]:
@@ -315,24 +325,6 @@ def auc_success(ious: Sequence[float]) -> float:
     return total / SUCCESS_THRESHOLD_COUNT
 
 
-_BREAKDOWN_GROUPS = (
-    ("coco", lambda a: a.is_coco),
-    ("non_coco", lambda a: not a.is_coco),
-    ("spatial", lambda a: a.has_spatial),
-    ("non_spatial", lambda a: not a.has_spatial),
-    ("verb", lambda a: a.has_verb),
-    ("no_verb", lambda a: not a.has_verb),
-    ("length_short", lambda a: a.length_bin == "short"),
-    ("length_medium", lambda a: a.length_bin == "medium"),
-    ("length_long", lambda a: a.length_bin == "long"),
-    ("objects_1", lambda a: a.num_objects_bin == "1"),
-    ("objects_2_3", lambda a: a.num_objects_bin == "2-3"),
-    ("objects_over_3", lambda a: a.num_objects_bin == ">3"),
-    ("first_frame", lambda a: a.annotation_type == "first_frame"),
-    ("full_video", lambda a: a.annotation_type == "full_video"),
-)
-
-
 def attribute_breakdown(
     metric_by_query: Mapping, attrs_by_query: Mapping
 ) -> dict[str, float]:
@@ -346,8 +338,10 @@ def attribute_breakdown(
         raise ValueError(f"missing attributes for queries: {', '.join(missing)}")
     ordered = sorted(metric_by_query)
     out: dict[str, float] = {}
-    for name, matches in _BREAKDOWN_GROUPS:
-        values = [metric_by_query[q] for q in ordered if matches(attrs_by_query[q])]
-        if values:
-            out[name] = fmean(values)
+    for tag, groups in ATTRIBUTE_GROUPS.items():
+        for value, name in groups.items():
+            values = [metric_by_query[q] for q in ordered
+                      if getattr(attrs_by_query[q], tag) == value]
+            if values:
+                out[name] = fmean(values)
     return out

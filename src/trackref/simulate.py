@@ -18,7 +18,7 @@ stack (RGB + flow magnitude + box interior).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -193,13 +193,7 @@ def parse_scene_spec(text: str, path: str = "<scene spec>") -> SceneSpec:
         )
 
 
-_CORRUPTION_KEYS = {
-    "distractors_per_frame": int,
-    "score_noise_sd": float,
-    "id_switch_prob": float,
-    "box_jitter_fraction": float,
-    "seed": int,
-}
+_CORRUPTION_KEYS = {f.name: type(f.default) for f in fields(CorruptionSpec)}
 
 
 def parse_corruption_spec(text: str, path: str = "<corruption spec>") -> CorruptionSpec:

@@ -534,6 +534,21 @@ class TestEvalCommand:
             f"error: {bad}: PBM payload contains characters other than 0/1\n"
         )
 
+    def test_oversized_rle_mask_file_is_a_data_error(self, tmp_path, capsys):
+        write_mask_tree(tmp_path / "pred", ("v", "1"), (1,), rasterize_box(Box(1, 1, 2, 2), 6, 4))
+        bad = tmp_path / "gt" / "v" / "1" / "00001.rle"
+        bad.parent.mkdir(parents=True)
+        bad.write_text("RLE 99999999999999999999 1 99999999999999999999")
+        out = tmp_path / "report"
+        assert main([
+            "eval", "--pred-masks", str(tmp_path / "pred"), "--gt-masks", str(tmp_path / "gt"),
+            "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: RLE dimensions 99999999999999999999x1 exceed the array size limit\n"
+        )
+        assert not out.exists()
+
     def test_f_tolerance_flag_absorbs_small_shifts(self, tmp_path):
         gt_mask = rasterize_box(Box(4, 4, 6, 5), 24, 20)
         pred_mask = rasterize_box(Box(5, 5, 6, 5), 24, 20)

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from trackref.geometry import (
     AffineTransform,
     Box,
-    RleMask,
     as_mask,
     boundary_pixels,
     box_from_mask,
@@ -19,10 +19,8 @@ from trackref.geometry import (
     pbm_loads,
     rasterize_box,
     read_mask,
-    rle_decode,
-    rle_encode,
-    rle_line_dumps,
-    rle_line_loads,
+    rle_dumps,
+    rle_loads,
     warp_mask,
     write_mask,
 )
@@ -249,21 +247,33 @@ class TestBoundaryPixels:
 
 class TestRle:
     def test_all_zero(self):
-        assert rle_encode(empty_mask(2, 2)).runs == (4,)
+        assert rle_dumps(empty_mask(2, 2)) == "RLE 2 2 4"
 
     def test_all_one(self):
-        assert rle_encode(np.ones((2, 2), dtype=bool)).runs == (0, 4)
+        assert rle_dumps(np.ones((2, 2), dtype=bool)) == "RLE 2 2 0 4"
 
     def test_scan_example(self):
-        assert rle_encode(as_mask([[0, 1, 1, 0]])).runs == (1, 2, 1)
+        assert rle_dumps(as_mask([[0, 1, 1, 0]])) == "RLE 1 4 1 2 1"
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum"):
-            RleMask(2, 2, (1, 2))
+            rle_loads("RLE 2 2 1 2")
 
     def test_rejects_zero_interior_run(self):
         with pytest.raises(ValueError, match="leading"):
-            RleMask(1, 4, (1, 0, 3))
+            rle_loads("RLE 1 4 1 0 3")
+
+    @pytest.mark.parametrize("height, width, runs", [
+        (10**20, 1, (10**20,)),
+        (sys.maxsize + 1, 1, (0, sys.maxsize + 1)),
+        (2**32, 2**32, (2**63, 2**63)),
+    ])
+    def test_rejects_a_size_beyond_the_array_limit(self, height, width, runs):
+        # Only sizes above sys.maxsize: one that fits would be allocated.
+        text = " ".join(map(str, ("RLE", height, width, *runs)))
+        message = f"RLE dimensions {height}x{width} exceed the array size limit"
+        with pytest.raises(ValueError, match=message):
+            rle_loads(text)
 
     @settings(max_examples=200)
     @given(st.lists(st.lists(st.booleans(), min_size=1, max_size=12), min_size=1, max_size=12).filter(
@@ -271,21 +281,21 @@ class TestRle:
     ))
     def test_round_trip(self, rows):
         mask = as_mask(rows)
-        assert np.array_equal(rle_decode(rle_encode(mask)), mask)
+        assert np.array_equal(rle_loads(rle_dumps(mask)), mask)
 
 
 class TestRleLineFormat:
     def test_round_trip(self):
         mask = as_mask([[0, 1], [1, 1]])
-        line = rle_line_dumps(rle_encode(mask))
+        line = rle_dumps(mask)
         assert line == "RLE 2 2 1 3"
-        assert np.array_equal(rle_decode(rle_line_loads(line)), mask)
+        assert np.array_equal(rle_loads(line), mask)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
-            rle_line_loads("RLF 2 2 1 3")
+            rle_loads("RLF 2 2 1 3")
         with pytest.raises(ValueError):
-            rle_line_loads("RLE 2 two 1 3")
+            rle_loads("RLE 2 two 1 3")
 
 
 class TestPbm:

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from statistics import fmean, mean
 
@@ -391,6 +392,17 @@ class TestAttributeBreakdown:
     def test_invalid_bin_rejected(self):
         with pytest.raises(ValueError):
             _attrs(length_bin="tiny")
+
+    @pytest.mark.parametrize("name, value", [
+        ("is_coco", 2),
+        ("has_verb", None),
+        ("length_bin", ["short"]),
+        ("num_objects_bin", 1),
+        ("annotation_type", "first-frame"),
+    ])
+    def test_invalid_value_names_its_tag(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(f"invalid {name} {value!r}")):
+            _attrs(**{name: value})
 
 
 class TestCrossModuleConsistency:
