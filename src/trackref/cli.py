@@ -118,7 +118,7 @@ def cmd_rerank(args) -> int:
     videos = _read_proposals(args.proposals)
     scored, tracks, baselines = {}, {}, {}
     for key, vp in sorted(videos.items()):
-        with located(args.proposals):
+        with located(f"{args.proposals}: {key[0]}/{key[1]}"):
             scored[key] = rerank.rerank_scores(vp, window=args.window, top_k=args.top_k)
         tracks[key] = rerank.select_track(scored[key])
         if args.raw:
@@ -292,7 +292,7 @@ def cmd_simulate(args) -> int:
     all_proposals: dict[tuple[str, str], rerank.VideoProposals] = {}
     for index, video in enumerate(videos):
         rng = SplitRng(corruption.seed, "sweep", args.seed, index)
-        for query, vp in simulate.generate_proposals(gt, corruption, video, rng).items():
+        for query, vp in simulate.generate_proposals(gt, corruption, rng).items():
             all_proposals[(video, query)] = vp
             all_tracks[(video, query)] = gt_entries[query]
 
@@ -405,8 +405,10 @@ def cmd_oracle(args) -> int:
             return _usage_error("--oracle grounding requires --proposals")
         videos = _read_proposals(args.proposals)
         _require_entries(gt, videos, f"ground-truth file {args.gt_boxes}", args.proposals)
-        with located(f"{args.proposals} vs {args.gt_boxes}"):
-            tracks = {key: rerank.oracle_assign(videos[key], gt[key]) for key in videos}
+        tracks = {}
+        for key, vp in videos.items():
+            with located(f"{args.proposals} vs {args.gt_boxes}: {key[0]}/{key[1]}"):
+                tracks[key] = rerank.oracle_assign(vp, gt[key])
 
     with _output(args.out) as out:
         rerank.write_tracks(out / "tracks.jsonl", tracks)

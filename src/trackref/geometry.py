@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,19 @@ import numpy as np
 from .jsonl import located
 
 Mask = np.ndarray  # 2-D bool array, shape (height, width)
+
+# The most pixels a mask may have: a little over 32 frames of 4K UHD, and
+# 256 MiB as bools.  Mask files and scene specs past it are data errors,
+# caught before any array is allocated.
+MAX_MASK_PIXELS = 1 << 28
+
+
+def check_mask_size(height: int, width: int) -> None:
+    """Raise ValueError if a ``height`` x ``width`` mask exceeds ``MAX_MASK_PIXELS``."""
+    if height * width > MAX_MASK_PIXELS:
+        raise ValueError(
+            f"mask size {height}x{width} exceeds the limit of {MAX_MASK_PIXELS} pixels"
+        )
 
 
 @dataclass(frozen=True)
@@ -342,8 +354,8 @@ def rle_dumps(mask: Mask) -> str:
 def rle_loads(text: str) -> Mask:
     """Parse the text of :func:`rle_dumps` back to its mask, exactly.
 
-    Sizes beyond ``sys.maxsize`` pixels are rejected before any array is
-    allocated; one that fits is allocated, so a huge one runs out of memory.
+    Sizes beyond ``MAX_MASK_PIXELS`` are rejected before any array is
+    allocated.
     """
     tokens = text.split()
     if len(tokens) < 3 or tokens[0] != "RLE":
@@ -362,8 +374,7 @@ def rle_loads(text: str) -> Mask:
     total = sum(runs)
     if total != height * width:
         raise ValueError(f"RLE runs sum to {total}, expected {height * width}")
-    if total > sys.maxsize:
-        raise ValueError(f"RLE dimensions {height}x{width} exceed the array size limit")
+    check_mask_size(height, width)
     values = np.zeros(len(runs), dtype=bool)
     values[1::2] = True
     return np.repeat(values, runs).reshape(height, width)
@@ -409,6 +420,7 @@ def _pbm_parse(data: bytes) -> Mask:
         raise ValueError("malformed PBM dimensions") from exc
     if width < 1 or height < 1:
         raise ValueError(f"invalid PBM dimensions {width}x{height}")
+    check_mask_size(height, width)
     payload = data[header.end():]
     if b"#" in payload:
         payload = _PBM_COMMENT.sub(b"", payload)

@@ -29,13 +29,14 @@ Proposals live in one columnar table per (video, query),
 :class:`VideoProposals`, with rows kept in (frame, id) order: one
 constructor takes its columns, and one builder, ``from_proposals``, checks
 library input.  The kernel scores it into a ``new_score`` column, and the
-selections are one ``np.lexsort`` each.  A track is a plain ``{frame: Box}``
-dict, as ground truth is, named only by the (video, query) key that holds
-it.  One row writer formats proposals, scores and tracks.  Two library
-views, ``VideoProposals.frames`` and the ``ScoredVideo`` mapping, build
-``Proposal``/``ScoredProposal`` objects.  A source weight or a new score
-that is not finite (``1e200 * 1e200``, say), or a frame distance beyond the
-float range, raises ValueError instead of reaching the output.
+selections are one ``np.lexsort`` each.  A table, like a track (a plain
+``{frame: Box}`` dict, as ground truth is), is named only by the (video,
+query) key that holds it: its errors name frames and ids, and the caller
+names the key.  One row writer formats proposals, scores and tracks.  Two
+library views, ``VideoProposals.frames`` and the ``ScoredVideo`` mapping,
+build ``Proposal``/``ScoredProposal`` objects.  A source weight or a new
+score that is not finite (``1e200 * 1e200``, say), or a frame distance
+beyond the float range, raises ValueError instead of reaching the output.
 
 The proposal and track readers check their lines through the shared reader
 in :mod:`trackref.jsonl`.
@@ -87,7 +88,8 @@ class ScoredProposal:
 class VideoProposals:
     """All proposals of one video for one query, one row per proposal.
 
-    Rows are kept in (frame, id) order, as columns:
+    The table holds no name: the (video, query) key that holds it is its
+    name.  Rows are kept in (frame, id) order, as columns:
 
     * ``frame_ids``: the sorted distinct frames of the rows, as Python ints
       (so distances between huge ids stay exact), and ``frame_of``, each
@@ -102,13 +104,12 @@ class VideoProposals:
     back, built on first access.
     """
 
-    def __init__(self, video_id, query_id, frame_ids, frame_of, ids, boxes, scores, objectness):
-        self.video_id, self.query_id = video_id, query_id
+    def __init__(self, frame_ids, frame_of, ids, boxes, scores, objectness):
         self.frame_ids, self.frame_of, self.ids = frame_ids, frame_of, ids
         self.boxes, self.scores, self.objectness = boxes, scores, objectness
 
     @classmethod
-    def from_proposals(cls, video_id: str, query_id: str, proposals) -> "VideoProposals":
+    def from_proposals(cls, proposals) -> "VideoProposals":
         """The table of ``Proposal`` objects in any order; a repeated (frame, id) raises."""
         rows = sorted(
             (p.frame, p.proposal_id, p.box.x, p.box.y, p.box.w, p.box.h, p.score, p.objectness)
@@ -116,10 +117,8 @@ class VideoProposals:
         )
         for previous, row in zip(rows, rows[1:]):
             if previous[:2] == row[:2]:
-                raise ValueError(
-                    f"duplicate proposal id {row[1]} in frame {row[0]} of {video_id}/{query_id}"
-                )
-        return cls(video_id, query_id, *_columns(rows))
+                raise ValueError(f"duplicate proposal id {row[1]} in frame {row[0]}")
+        return cls(*_columns(rows))
 
     @cached_property
     def frames(self) -> dict[int, list[Proposal]]:
@@ -241,18 +240,14 @@ def _require_finite(vp: VideoProposals, values: np.ndarray, what: str) -> None:
     if bad.size:
         row = int(bad[0])
         raise ValueError(
-            f"{what} is not finite in {vp.video_id}/{vp.query_id}, "
-            f"frame {vp.frame_ids[vp.frame_of[row]]}, id {vp.ids[row]}"
+            f"{what} is not finite in frame {vp.frame_ids[vp.frame_of[row]]}, id {vp.ids[row]}"
         )
 
 
-def _distance_error(vp: VideoProposals, early, late) -> ValueError:
+def _distance_error(early, late) -> ValueError:
     """The error for the first pair of frames farther apart than the largest float."""
     a, b = next((a, b) for a, b in zip(early, late) if b - a > sys.float_info.max)
-    return ValueError(
-        f"frame distance does not fit a float in {vp.video_id}/{vp.query_id}: "
-        f"frames {a} and {b}"
-    )
+    return ValueError(f"frame distance does not fit a float: frames {a} and {b}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
@@ -273,7 +268,7 @@ def rerank_scores(
     new score is zero there.  A source weight (objectness x score) or a new
     score that is not finite, or a frame distance within ``window`` that does
     not fit a float (frames 1 and 10**400, say), raises ValueError naming the
-    video and query.
+    frame and id, or the two frames; the caller names the (video, query).
     """
     if window is not None and window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -324,7 +319,7 @@ def rerank_scores(
         try:
             distance = gaps.astype(float)
         except OverflowError:
-            raise _distance_error(vp, frames[early], frames[late]) from None
+            raise _distance_error(frames[early], frames[late]) from None
         boxes_early, boxes_late = table[:, :, early], table[:, :, late]
         to_early = weights[:k_top, early] / distance
         to_late = weights[:k_top, late] / distance
@@ -430,7 +425,7 @@ def read_proposals(path) -> tuple[dict[tuple[str, str], VideoProposals], set[str
     videos = {}
     for (video, query), (rows, _) in sorted(groups.items()):
         rows.sort()
-        videos[(video, query)] = VideoProposals(video, query, *_columns(rows))
+        videos[(video, query)] = VideoProposals(*_columns(rows))
     return videos, unknown
 
 

@@ -27,6 +27,7 @@ from .geometry import (
     Box,
     Mask,
     box_from_mask,
+    check_mask_size,
     rasterize_box,
     warp_mask,
 )
@@ -55,6 +56,7 @@ class SceneSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError(f"invalid scene size {self.width}x{self.height}")
+        check_mask_size(self.height, self.width)
         if self.num_frames < 1:
             raise ValueError("a scene needs at least one frame")
         if not self.objects:
@@ -364,10 +366,9 @@ def _distractor_boxes(units: np.ndarray, width: int, height: int) -> np.ndarray:
 def generate_proposals(
     gt: SceneGroundTruth,
     corruption: CorruptionSpec,
-    video_id: str = "video",
     rng: SplitRng | None = None,
 ) -> dict[str, VideoProposals]:
-    """Corrupted per-frame proposals for every object of a scene.
+    """Corrupted per-frame proposals of a scene, ``{query: table}``, one query per object.
 
     Per frame and object: the true box jittered by ``box_jitter_fraction``
     with score clamp01(0.8 + noise) and proposal id 0, plus
@@ -431,8 +432,7 @@ def generate_proposals(
             np.concatenate(units), gt.width, gt.height
         )
         out[str(obj_index)] = VideoProposals(
-            video_id, str(obj_index), frames,
-            np.repeat(np.arange(len(frames)), sizes), ids, boxes, np.array(scores),
+            frames, np.repeat(np.arange(len(frames)), sizes), ids, boxes, np.array(scores),
             np.full(len(ids), PROPOSAL_OBJECTNESS),
         )
     return out

@@ -121,7 +121,7 @@ def test_02_formula_golden():
         p2 = Proposal(1, Box(20, 0, 10, 10), 0.5, 0.9, 1)
         p3 = Proposal(2, Box(0, 0, 10, 10), 0.4, 0.8, 0)
         p4 = Proposal(2, Box(20, 0, 10, 10), 0.8, 0.9, 1)
-        vp = VideoProposals.from_proposals("vid", "q", [p1, p2, p3, p4])
+        vp = VideoProposals.from_proposals([p1, p2, p3, p4])
         scored = rerank_scores(vp)
         values = {
             (f, sp.proposal.proposal_id): sp.new_score
@@ -179,7 +179,7 @@ def test_04_coherence_improvement():
                 distractors_per_frame=3, score_noise_sd=0.05,
                 id_switch_prob=0.3, box_jitter_fraction=0.1, seed=index,
             )
-            vp = generate_proposals(gt, corruption, f"scene_{index:03d}")["1"]
+            vp = generate_proposals(gt, corruption)["1"]
             reranked = select_track(rerank_scores(vp))
             baseline = raw_select(vp)
             reranked_miou = track_miou(reranked, gt.boxes[1])

@@ -128,7 +128,7 @@ def test_generated_distractors_match_scalar_streams(seed, count, sd):
     gt = generate_scene(parse_scene_spec(SMALL_SCENE))
     corruption = CorruptionSpec(distractors_per_frame=count, score_noise_sd=sd)
     rng = SplitRng(seed, "sweep")
-    videos = generate_proposals(gt, corruption, "v", rng)
+    videos = generate_proposals(gt, corruption, rng)
     for query, vp in videos.items():
         for frame, proposals in vp.frames.items():
             got = [(p.proposal_id, p.box, p.score) for p in proposals if p.proposal_id > 0]

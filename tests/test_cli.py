@@ -234,6 +234,37 @@ def ground_truth_lines(draw):
     return draw(st.permutations(lines))
 
 
+_POISON_BOX = {"x": 1e308, "y": 0, "w": 1e308, "h": 5}
+
+
+@st.composite
+def poisoned_inputs(draw):
+    """Proposal and ground-truth records, in any order, for 1-4 keys, and the
+    poisoned key and frame.  One proposal of that frame has ``score =
+    objectness = 1e200``, so its source weight overflows, and a box whose
+    ``x + w`` overflows, as has the frame's ground-truth box, so their IoU is
+    NaN.  Every other value is small, so only that key can fail."""
+    keys = draw(st.lists(st.tuples(st.text(max_size=3), st.text(max_size=3)),
+                         min_size=1, max_size=4, unique=True))
+    poisoned = draw(st.sampled_from(keys))
+    proposals, gt = [], []
+    for video, query in keys:
+        count = draw(st.integers(1, 3))
+        if (video, query) == poisoned:
+            bad_frame = draw(st.integers(1, count))
+        for frame in range(1, count + 1):
+            key = {"video": video, "query": query, "frame": frame}
+            box = {"x": frame, "y": 0, "w": 5, "h": 5}
+            bad = (video, query) == poisoned and frame == bad_frame
+            gt.append({**key, **(_POISON_BOX if bad else box)})
+            for pid in range(draw(st.integers(1, 2))):
+                row = {**key, **box, "score": 0.5, "objectness": 0.5, "id": pid}
+                if bad and pid == 0:
+                    row.update(_POISON_BOX, score=1e200, objectness=1e200)
+                proposals.append(row)
+    return draw(st.permutations(proposals)), draw(st.permutations(gt)), poisoned, bad_frame
+
+
 class TestRerankCommand:
     def test_selects_consistent_tube(self, tmp_path, toy_proposals_file):
         out = tmp_path / "out"
@@ -296,10 +327,10 @@ class TestRerankCommand:
     @pytest.mark.parametrize("first, second, message", [
         # objectness x score overflows to infinity
         ({}, {"score": 1e200, "objectness": 1e200},
-         "source weight objectness x score is not finite in vid/q, frame 2, id 0"),
+         "vid/q: source weight objectness x score is not finite in frame 2, id 0"),
         # finite weights, but score x support overflows
         ({"score": 1e200, "objectness": 0.5}, {"score": 1e200, "objectness": 0.5},
-         "re-ranked score is not finite in vid/q, frame 1, id 0"),
+         "vid/q: re-ranked score is not finite in frame 1, id 0"),
     ])
     def test_non_finite_new_score_is_a_data_error(self, tmp_path, capsys, first, second, message):
         path = tmp_path / "proposals.jsonl"
@@ -315,7 +346,7 @@ class TestRerankCommand:
         out = tmp_path / "out"
         assert main(["rerank", "--proposals", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {path}: frame distance does not fit a float in vid/q: "
+            f"error: {path}: vid/q: frame distance does not fit a float: "
             f"frames 2 and {10**400}\n"
         )
         assert not out.exists()
@@ -545,7 +576,25 @@ class TestEvalCommand:
             "--out", str(out),
         ]) == 2
         assert capsys.readouterr().err == (
-            f"error: {bad}: RLE dimensions 99999999999999999999x1 exceed the array size limit\n"
+            f"error: {bad}: mask size 99999999999999999999x1 exceeds the limit of 268435456 "
+            "pixels\n"
+        )
+        assert not out.exists()
+
+    def test_rle_mask_above_the_size_cap_is_a_data_error(self, tmp_path, capsys):
+        # 34 bytes whose runs sum to the size, 10**12 pixels: refused before
+        # any array is allocated.
+        write_mask_tree(tmp_path / "pred", ("v", "1"), (1,), rasterize_box(Box(1, 1, 2, 2), 6, 4))
+        bad = tmp_path / "gt" / "v" / "1" / "00001.rle"
+        bad.parent.mkdir(parents=True)
+        bad.write_text("RLE 1000000 1000000 1000000000000\n")
+        out = tmp_path / "report"
+        assert main([
+            "eval", "--pred-masks", str(tmp_path / "pred"), "--gt-masks", str(tmp_path / "gt"),
+            "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: mask size 1000000x1000000 exceeds the limit of 268435456 pixels\n"
         )
         assert not out.exists()
 
@@ -864,6 +913,20 @@ class TestSimulateCommand:
         ]) == 0
         dirs = sorted(p.name for p in (out / "masks").iterdir())
         assert dirs == [f"scene_{i:03d}" for i in range(5)]
+
+    def test_scene_above_the_mask_size_cap_is_a_data_error(self, tmp_path, capsys):
+        scene, corrupt = self._specs(tmp_path)
+        scene.write_text(SCENE_SPEC.replace("width = 48", "width = 100000")
+                         .replace("height = 32", "height = 100000"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scene", str(scene), "--corrupt", str(corrupt),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {scene}: mask size 100000x100000 exceeds the limit of 268435456 pixels\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_invalid_spec_key_aborts(self, tmp_path, capsys):
         scene = tmp_path / "scene.txt"
@@ -1187,7 +1250,7 @@ class TestOracleAndPipeline:
         ]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: {proposals} vs {gt}: ground-truth IoU is not finite in v/1, frame 1, id 0\n"
+            f"error: {proposals} vs {gt}: v/1: ground-truth IoU is not finite in frame 1, id 0\n"
         )
         assert captured.out == ""
         assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
@@ -1224,6 +1287,34 @@ class TestOracleAndPipeline:
             ]) == 0
             scores[name] = read_report(out)["aggregate"]["track_miou"]
         assert scores["tracks"] >= scores["raw_tracks"]
+
+
+class TestPerKeyErrors:
+    """A command that holds a (video, query) key names it in that key's error."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(inputs=poisoned_inputs())
+    def test_rerank_and_grounding_oracle_name_the_failing_key(self, inputs):
+        proposal_lines, gt_lines, (video, query), frame = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            proposals, gt, out = Path(tmp, "p.jsonl"), Path(tmp, "gt.jsonl"), Path(tmp, "out")
+            write_jsonl(proposals, proposal_lines)
+            write_jsonl(gt, gt_lines)
+            runs = [
+                (["rerank", "--proposals", str(proposals), "--raw"],
+                 f"error: {proposals}: {video}/{query}: "
+                 f"source weight objectness x score is not finite in frame {frame}, id 0\n"),
+                (["oracle", "--oracle", "grounding", "--proposals", str(proposals),
+                  "--gt-boxes", str(gt)],
+                 f"error: {proposals} vs {gt}: {video}/{query}: "
+                 f"ground-truth IoU is not finite in frame {frame}, id 0\n"),
+            ]
+            for argv, message in runs:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    assert main([*argv, "--out", str(out)]) == 2
+                assert err.getvalue() == message
+                assert not out.exists()
 
 
 class TestJitterCommand:

@@ -190,7 +190,7 @@ _ids = st.one_of(st.integers(0, 5), st.sampled_from([2**63, HUGE]))
 @st.composite
 def tied_videos(draw):
     """Videos with empty frames, sparse and huge frame ids and proposal ids."""
-    return VideoProposals.from_proposals("v", "q", [
+    return VideoProposals.from_proposals([
         Proposal(frame, draw(_boxes), draw(_tied), draw(_tied), pid)
         for frame in draw(st.sets(_frames, min_size=1, max_size=5))
         for pid in draw(st.lists(_ids, unique=True, max_size=5))
@@ -198,7 +198,7 @@ def tied_videos(draw):
 
 
 # Every key ties in both frames: the lower id wins, 5 before 2**63.
-ALL_TIED = VideoProposals.from_proposals("v", "q", [
+ALL_TIED = VideoProposals.from_proposals([
     Proposal(frame, Box(0, 0, 10, 10), 0.5, 0.5, pid)
     for frame in (1, 10**9) for pid in (2**63, 5)
 ])
@@ -256,19 +256,19 @@ def tables(draw):
         for pid in draw(st.lists(st.one_of(st.integers(-3, 3), st.sampled_from([-HUGE, 2**64])),
                                  unique=True, max_size=3))
     ]
-    return VideoProposals.from_proposals(draw(_name), draw(_name), proposals)
+    return VideoProposals.from_proposals(proposals)
 
 
 def _expected(records):
     return "".join(json.dumps(record) + "\n" for record in records)
 
 
-def _records(vp, new_scores=None):
+def _records(key, vp, new_scores=None):
     values = iter([] if new_scores is None else new_scores)
     for frame, props in sorted(vp.frames.items()):
         for p in sorted(props, key=lambda p: p.proposal_id):
             record = {
-                "video": vp.video_id, "query": vp.query_id, "frame": frame,
+                "video": key[0], "query": key[1], "frame": frame,
                 "x": p.box.x, "y": p.box.y, "w": p.box.w, "h": p.box.h,
                 "score": p.score, "objectness": p.objectness, "id": p.proposal_id,
             }
@@ -278,20 +278,19 @@ def _records(vp, new_scores=None):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(tables(), max_size=3))
+@given(st.dictionaries(st.tuples(_name, _name), tables(), max_size=3))
 def test_write_proposals_equals_json_dumps(tmp_path_factory, videos):
-    videos = {(vp.video_id, vp.query_id): vp for vp in videos}
     path = tmp_path_factory.mktemp("w") / "proposals.jsonl"
     write_proposals(path, videos)
-    expected = _expected(record for key in sorted(videos) for record in _records(videos[key]))
+    expected = _expected(record for key in sorted(videos) for record in _records(key, videos[key]))
     assert path.read_text(encoding="utf-8") == expected
 
 
 @settings(max_examples=200, deadline=None)
-@given(vp=tables(), data=st.data())
-def test_write_scores_equals_json_dumps(tmp_path_factory, vp, data):
+@given(key=st.tuples(_name, _name), vp=tables(), data=st.data())
+def test_write_scores_equals_json_dumps(tmp_path_factory, key, vp, data):
     new_scores = [data.draw(_value) for _ in vp.ids]
     scored = ScoredVideo(vp, np.array(new_scores))
     path = tmp_path_factory.mktemp("w") / "scores.jsonl"
-    write_scores(path, {(vp.video_id, vp.query_id): scored})
-    assert path.read_text(encoding="utf-8") == _expected(_records(vp, new_scores))
+    write_scores(path, {key: scored})
+    assert path.read_text(encoding="utf-8") == _expected(_records(key, vp, new_scores))

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackref.geometry import (
+    MAX_MASK_PIXELS,
     AffineTransform,
     Box,
     as_mask,
     boundary_pixels,
     box_from_mask,
     box_iou,
+    check_mask_size,
     empty_mask,
     mask_iou,
     pbm_dumps,
@@ -267,11 +269,13 @@ class TestRle:
         (10**20, 1, (10**20,)),
         (sys.maxsize + 1, 1, (0, sys.maxsize + 1)),
         (2**32, 2**32, (2**63, 2**63)),
+        # Just above the cap, with runs that pass every other check.
+        (16384, 16385, (16384 * 16385,)),
+        (MAX_MASK_PIXELS + 1, 1, (0, MAX_MASK_PIXELS + 1)),
     ])
     def test_rejects_a_size_beyond_the_array_limit(self, height, width, runs):
-        # Only sizes above sys.maxsize: one that fits would be allocated.
         text = " ".join(map(str, ("RLE", height, width, *runs)))
-        message = f"RLE dimensions {height}x{width} exceed the array size limit"
+        message = f"^mask size {height}x{width} exceeds the limit of 268435456 pixels$"
         with pytest.raises(ValueError, match=message):
             rle_loads(text)
 
@@ -320,6 +324,21 @@ class TestPbm:
     def test_rejects_non_binary_payload(self):
         with pytest.raises(ValueError, match="other than 0/1"):
             pbm_loads("P1\n2 2\n1 0 0 2")
+
+    def test_rejects_a_size_just_above_the_cap(self):
+        # The header gives width, then height; the cap is checked before
+        # the payload, whose length would not match either.
+        message = "^mask size 16384x16385 exceeds the limit of 268435456 pixels$"
+        with pytest.raises(ValueError, match=message):
+            pbm_loads("P1\n16385 16384\n0")
+
+
+class TestMaskSizeCap:
+    def test_the_cap_is_allowed_and_one_more_pixel_is_not(self):
+        check_mask_size(1 << 14, 1 << 14)
+        check_mask_size(1, MAX_MASK_PIXELS)
+        with pytest.raises(ValueError, match="^mask size 1x268435457 exceeds the limit"):
+            check_mask_size(1, MAX_MASK_PIXELS + 1)
 
 
 class TestMaskFiles:

@@ -55,7 +55,7 @@ def toy_video():
     p2 = Proposal(1, Box(20, 0, 10, 10), 0.5, 0.9, 1)
     p3 = Proposal(2, Box(0, 0, 10, 10), 0.4, 0.8, 0)
     p4 = Proposal(2, Box(20, 0, 10, 10), 0.8, 0.9, 1)
-    return VideoProposals.from_proposals("vid", "q", [p1, p2, p3, p4])
+    return VideoProposals.from_proposals([p1, p2, p3, p4])
 
 
 def assert_matches_oracle(vp, window=None, top_k=None):
@@ -93,7 +93,7 @@ def sparse_videos(draw):
             )
             for pid in ids
         )
-    return VideoProposals.from_proposals("v", "q", proposals)
+    return VideoProposals.from_proposals(proposals)
 
 
 def random_instance(rng, max_frames=10, max_per_frame=8):
@@ -108,7 +108,7 @@ def random_instance(rng, max_frames=10, max_per_frame=8):
             proposals.append(
                 Proposal(frame, box, rng.unit(), rng.unit(), pid)
             )
-    return VideoProposals.from_proposals("v", "q", proposals)
+    return VideoProposals.from_proposals(proposals)
 
 
 class TestRerankScores:
@@ -127,7 +127,7 @@ class TestRerankScores:
             assert abs(values[key] - target) <= 1e-12
 
     def test_single_frame_scores_are_zero(self):
-        vp = VideoProposals.from_proposals("v", "q", [
+        vp = VideoProposals.from_proposals([
             Proposal(1, Box(0, 0, 5, 5), 0.7, 0.9, 0),
             Proposal(1, Box(10, 0, 5, 5), 0.3, 0.9, 1),
         ])
@@ -135,7 +135,7 @@ class TestRerankScores:
         assert all(sp.new_score == 0.0 for sp in scored[1])
 
     def test_no_cross_frame_overlap_scores_are_zero(self):
-        vp = VideoProposals.from_proposals("v", "q", [
+        vp = VideoProposals.from_proposals([
             Proposal(1, Box(0, 0, 5, 5), 0.7, 0.9, 0),
             Proposal(2, Box(30, 30, 5, 5), 0.8, 0.9, 0),
         ])
@@ -157,7 +157,7 @@ class TestRerankScores:
     def test_global_score_scaling_squares_new_scores(self):
         vp = toy_video()
         constant = 3.5
-        scaled = VideoProposals.from_proposals("vid", "q", [
+        scaled = VideoProposals.from_proposals([
             Proposal(p.frame, p.box, p.score * constant, p.objectness, p.proposal_id)
             for frame in vp.frames for p in vp.frames[frame]
         ])
@@ -181,7 +181,7 @@ class TestRerankScores:
             )
             shuffled_frames[frame] = [proposals[i] for i in order]
         shuffled = VideoProposals.from_proposals(
-            vp.video_id, vp.query_id, [p for props in shuffled_frames.values() for p in props]
+            [p for props in shuffled_frames.values() for p in props]
         )
         base = {
             (f, sp.proposal.proposal_id): sp.new_score
@@ -242,7 +242,7 @@ class TestRerankScores:
             Proposal(frame, Box(offset, 0, 10, 10), 0.9 - 0.1 * offset, 0.8, offset)
             for frame in frame_ids for offset in (0, 1)
         ]
-        vp = VideoProposals.from_proposals("v", "q", proposals)
+        vp = VideoProposals.from_proposals(proposals)
         values = assert_matches_oracle(vp, window=window)
         assert (values[(10**9, 0)] > 0) == (window != 1)
         assert (values[(1, 0)] > 0) == (window != 1 or 2 in frame_ids)
@@ -254,7 +254,7 @@ class TestRerankScores:
         proposals = [
             Proposal(frame, Box(0, 0, 10, 10), 0.9, 0.8, 0) for frame in (1, 2, 10**400)
         ]
-        vp = VideoProposals.from_proposals("v", "q", proposals)
+        vp = VideoProposals.from_proposals(proposals)
         values = assert_matches_oracle(vp, window=window)
         assert values[(10**400, 0)] == 0.0
         assert values[(1, 0)] > 0
@@ -266,8 +266,8 @@ class TestRerankScores:
         proposals = [
             Proposal(frame, Box(0, 0, 10, 10), 0.9, 0.8, 0) for frame in (1, 2, 10**400)
         ]
-        vp = VideoProposals.from_proposals("v", "q", proposals)
-        message = f"frame distance does not fit a float in v/q: frames 2 and {10**400}"
+        vp = VideoProposals.from_proposals(proposals)
+        message = f"frame distance does not fit a float: frames 2 and {10**400}"
         with pytest.raises(ValueError, match=f"^{message}$"):
             rerank_scores(vp, window=window)
 
@@ -294,22 +294,22 @@ class TestRerankScores:
 
     @pytest.mark.parametrize("window", [1, 5])
     def test_pairs_beyond_the_window_add_nothing(self, window):
-        vp = VideoProposals.from_proposals("v", "q", self.FAR_HUGE_BOXES)
+        vp = VideoProposals.from_proposals(self.FAR_HUGE_BOXES)
         values = assert_matches_oracle(vp, window=window)
         assert all(math.isfinite(value) for value in values.values())
         assert values[(10, 1)] == 0.0
         assert values[(2, 0)] > 0
 
     def test_far_huge_boxes_with_the_full_sum_raise(self):
-        vp = VideoProposals.from_proposals("v", "q", self.FAR_HUGE_BOXES)
+        vp = VideoProposals.from_proposals(self.FAR_HUGE_BOXES)
         with pytest.raises(ValueError) as raised:
             rerank_scores(vp)
-        assert str(raised.value) == "re-ranked score is not finite in v/q, frame 2, id 1"
+        assert str(raised.value) == "re-ranked score is not finite in frame 2, id 1"
 
     def test_top_k_ties_keep_the_lower_id(self):
         # Equal score and objectness: the source kept by top_k=1 is id 0,
         # the only one overlapping the frame-2 proposal.
-        vp = VideoProposals.from_proposals("v", "q", [
+        vp = VideoProposals.from_proposals([
             Proposal(1, Box(40, 0, 10, 10), 0.5, 0.5, 2),
             Proposal(1, Box(0, 0, 10, 10), 0.5, 0.5, 0),
             Proposal(1, Box(20, 0, 10, 10), 0.5, 0.5, 1),
@@ -340,7 +340,7 @@ class TestSelection:
         assert track[2] == Box(20, 0, 10, 10)
 
     def test_all_zero_ties_fall_back_to_raw_score(self):
-        vp = VideoProposals.from_proposals("v", "q", [
+        vp = VideoProposals.from_proposals([
             Proposal(1, Box(0, 0, 5, 5), 0.7, 0.9, 0),
             Proposal(1, Box(10, 0, 5, 5), 0.9, 0.5, 1),
         ])
@@ -348,12 +348,12 @@ class TestSelection:
         assert track[1] == Box(10, 0, 5, 5)
 
     def test_empty_frames_have_no_entry(self):
-        track = select_track(rerank_scores(VideoProposals.from_proposals("v", "q", [])))
+        track = select_track(rerank_scores(VideoProposals.from_proposals([])))
         assert track == {}
         assert track.get(1) is None
 
     def test_raw_select_single_proposal_per_frame(self):
-        vp = VideoProposals.from_proposals("v", "q", [
+        vp = VideoProposals.from_proposals([
             Proposal(1, Box(0, 0, 5, 5), 0.2, 0.9, 0),
             Proposal(2, Box(1, 0, 5, 5), 0.4, 0.9, 0),
         ])
@@ -361,7 +361,7 @@ class TestSelection:
         assert track == {1: Box(0, 0, 5, 5), 2: Box(1, 0, 5, 5)}
 
     def test_objectness_breaks_equal_raw_scores(self):
-        vp = VideoProposals.from_proposals("v", "q", [
+        vp = VideoProposals.from_proposals([
             Proposal(1, Box(0, 0, 5, 5), 0.5, 0.2, 0),
             Proposal(1, Box(10, 0, 5, 5), 0.5, 0.8, 1),
         ])
@@ -376,7 +376,7 @@ class TestOracleAssign:
         assert track == {1: Box(20, 0, 10, 10), 2: Box(20, 0, 10, 10)}
 
     def test_all_disjoint_ties_use_lowest_id(self):
-        vp = VideoProposals.from_proposals("v", "q", [
+        vp = VideoProposals.from_proposals([
             Proposal(1, Box(0, 0, 5, 5), 0.1, 0.9, 2),
             Proposal(1, Box(10, 0, 5, 5), 0.9, 0.9, 5),
         ])
@@ -392,7 +392,7 @@ class TestOracleAssign:
 class TestValidation:
     def test_duplicate_ids_within_frame(self):
         with pytest.raises(ValueError, match="duplicate"):
-            VideoProposals.from_proposals("v", "q", [
+            VideoProposals.from_proposals([
                 Proposal(1, Box(0, 0, 1, 1), 0, 0, 0),
                 Proposal(1, Box(2, 0, 1, 1), 0, 0, 0),
             ])

@@ -272,6 +272,15 @@ class TestGenerateScene:
             else:
                 assert not seen_none  # once gone, the object stays gone
 
+    def test_size_above_the_mask_cap_rejected(self):
+        # One pixel row more than 16384 x 16384, the cap; nothing is rendered.
+        message = "^mask size 16385x16384 exceeds the limit of 268435456 pixels$"
+        with pytest.raises(ValueError, match=message):
+            SceneSpec(
+                width=16384, height=16385, num_frames=1,
+                objects=(ObjectSpec(Box(0, 0, 1, 1), AffineTransform.identity()),),
+            )
+
     def test_initial_box_outside_bounds_rejected(self):
         with pytest.raises(ValueError, match="bounds"):
             SceneSpec(
@@ -283,20 +292,20 @@ class TestGenerateScene:
 class TestGenerateProposals:
     def test_uncorrupted_proposals_recover_ground_truth(self):
         gt = generate_scene(_moving_scene(dx=1.0, num_frames=6))
-        proposals = generate_proposals(gt, CorruptionSpec(seed=5), "vid")
+        proposals = generate_proposals(gt, CorruptionSpec(seed=5))
         track = raw_select(proposals["1"])
         assert track_miou(track, gt.boxes[1]) == 1.0
 
     def test_same_seed_is_identical(self):
         gt = generate_scene(_moving_scene())
-        first = generate_proposals(gt, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=9), "vid")
-        second = generate_proposals(gt, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=9), "vid")
+        first = generate_proposals(gt, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=9))
+        second = generate_proposals(gt, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=9))
         assert first["1"].frames == second["1"].frames
 
     def test_different_seeds_differ(self):
         gt = generate_scene(_moving_scene())
-        first = generate_proposals(gt, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=9), "vid")
-        second = generate_proposals(gt, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=10), "vid")
+        first = generate_proposals(gt, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=9))
+        second = generate_proposals(gt, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=10))
         assert first["1"].frames != second["1"].frames
 
     def test_multi_object_scene_yields_independent_queries(self):
@@ -308,16 +317,15 @@ class TestGenerateProposals:
             ),
         )
         gt = generate_scene(spec)
-        proposals = generate_proposals(gt, CorruptionSpec(2, 0.02, 0.0, 0.05, seed=2), "vid")
+        proposals = generate_proposals(gt, CorruptionSpec(2, 0.02, 0.0, 0.05, seed=2))
         assert set(proposals) == {"1", "2"}
-        for query, vp in proposals.items():
-            assert vp.query_id == query
+        for vp in proposals.values():
             assert vp.frame_ids == [1, 2, 3, 4]
 
     def test_switched_scores_swap_target_and_distractor(self):
         gt = generate_scene(_static_scene(num_frames=3))
         always = generate_proposals(
-            gt, CorruptionSpec(1, 0.0, 1.0, 0.0, seed=4), "vid"
+            gt, CorruptionSpec(1, 0.0, 1.0, 0.0, seed=4)
         )["1"]
         for frame, proposals in always.frames.items():
             by_id = {p.proposal_id: p for p in proposals}
@@ -337,7 +345,7 @@ class TestFixedDistractorScenario:
         for frame in range(1, 9):
             proposals.append(Proposal(frame, target_box, 0.3, 0.9, 0))
             proposals.append(Proposal(frame, distractor_box, 0.8, 0.9, 1))
-        vp = VideoProposals.from_proposals("vid", "1", proposals)
+        vp = VideoProposals.from_proposals(proposals)
         gt = {frame: target_box for frame in range(1, 9)}
 
         raw = raw_select(vp)
