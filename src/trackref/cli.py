@@ -1,5 +1,8 @@
 """Batch command-line tool: rerank, eval, simulate, jitter, stats, oracle.
 
+``oracle`` picks each frame's proposal that best overlaps the ground-truth box;
+``eval --pred-tracks G --gt-boxes G`` scores the ground truth G itself.
+
 Exit codes: 0 success, 1 usage error, 2 data error.  Commands validate all
 inputs before writing anything and write --out only through ``_output``, so a
 failed run leaves --out as it was.  Warnings go to stderr.  Every random draw
@@ -399,16 +402,12 @@ def cmd_stats(args) -> int:
 
 def cmd_oracle(args) -> int:
     gt = rerank.read_tracks(args.gt_boxes)
-    tracks = gt  # --oracle boxes: the ground-truth box is the answer in every frame
-    if args.oracle == "grounding":
-        if args.proposals is None:
-            return _usage_error("--oracle grounding requires --proposals")
-        videos = _read_proposals(args.proposals)
-        _require_entries(gt, videos, f"ground-truth file {args.gt_boxes}", args.proposals)
-        tracks = {}
-        for key, vp in videos.items():
-            with located(f"{args.proposals} vs {args.gt_boxes}: {key[0]}/{key[1]}"):
-                tracks[key] = rerank.oracle_assign(vp, gt[key])
+    videos = _read_proposals(args.proposals)
+    _require_entries(gt, videos, f"ground-truth file {args.gt_boxes}", args.proposals)
+    tracks = {}
+    for key, vp in videos.items():
+        with located(f"{args.proposals} vs {args.gt_boxes}: {key[0]}/{key[1]}"):
+            tracks[key] = rerank.oracle_assign(vp, gt[key])
 
     with _output(args.out) as out:
         rerank.write_tracks(out / "tracks.jsonl", tracks)
@@ -504,9 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_stats)
 
-    p = commands.add_parser("oracle", help="ground-truth-assisted track assignment")
-    p.add_argument("--oracle", choices=("grounding", "boxes"), required=True)
-    p.add_argument("--proposals")
+    p = commands.add_parser(
+        "oracle", help="pick each frame's proposal that best overlaps the ground-truth box")
+    p.add_argument("--proposals", required=True)
     p.add_argument("--gt-boxes", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)

@@ -440,7 +440,7 @@ def _row_template(*fields: str) -> str:
 
 
 _PROPOSAL_ROW = _row_template(*_PROPOSAL_FIELDS)
-_SCORE_ROW = _row_template(*_PROPOSAL_FIELDS, "new_score")
+_SCORE_ROW = _row_template("video", "query", "frame", "id", "new_score")
 _TRACK_ROW = _row_template(*_TRACK_FIELDS)
 
 
@@ -455,19 +455,12 @@ def _write_rows(handle, template: str, video: str, query: str, *columns) -> None
     handle.writelines(map(row, *columns))
 
 
-def _table_columns(vp: VideoProposals, *extra: np.ndarray) -> tuple:
-    """The columns of ``vp`` as lists of plain values, then the ``extra`` ones."""
-    x, y, w, h = vp.boxes.T.tolist()
-    return (
-        vp.row_frames(), x, y, w, h, vp.scores.tolist(), vp.objectness.tolist(), vp.ids,
-        *(column.tolist() for column in extra),
-    )
-
-
 def write_proposals(path, videos: dict[tuple[str, str], VideoProposals]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for key in sorted(videos):
-            _write_rows(handle, _PROPOSAL_ROW, *key, *_table_columns(videos[key]))
+            vp = videos[key]
+            _write_rows(handle, _PROPOSAL_ROW, *key, vp.row_frames(), *vp.boxes.T.tolist(),
+                        vp.scores.tolist(), vp.objectness.tolist(), vp.ids)
 
 
 def read_tracks(path) -> dict[tuple[str, str], dict[int, Box]]:
@@ -500,8 +493,10 @@ def write_tracks(path, tracks: Mapping[tuple[str, str], Mapping[int, Box]]) -> N
 
 
 def write_scores(path, scored_by_key: dict[tuple[str, str], ScoredVideo]) -> None:
-    """Dump every proposal with its re-ranked score."""
+    """Write each row's ``new_score`` under its join key with the proposals file
+    (video, query, frame, id), in the row order of ``write_proposals``."""
     with open(path, "w", encoding="utf-8") as handle:
         for key in sorted(scored_by_key):
             scored = scored_by_key[key]
-            _write_rows(handle, _SCORE_ROW, *key, *_table_columns(scored.table, scored.new_score))
+            _write_rows(handle, _SCORE_ROW, *key, scored.table.row_frames(), scored.table.ids,
+                        scored.new_score.tolist())

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackref
@@ -206,31 +206,28 @@ def toy_proposals_file(tmp_path):
     return path
 
 
-_coordinate = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.integers(-(2**53), 2**53),
-    st.sampled_from([1e308, -1e308, 5e-324]),
-)
-_sides = st.tuples(*[st.one_of(
-    st.floats(min_value=5e-324, allow_infinity=False),
-    st.integers(1, 2**53),
-    st.sampled_from([1e308, 5e-324]),
-)] * 2).filter(lambda sides: sides[0] * sides[1] > 0)  # read_tracks rejects a zero area
+_coordinate = st.one_of(st.floats(-1e6, 1e6), st.integers(-(10**6), 10**6))
+_side = st.one_of(st.floats(1e-3, 1e6), st.integers(1, 10**6))
+_weight = st.one_of(st.floats(0, 1), st.sampled_from([0, 1]))
 
 
 @st.composite
-def ground_truth_lines(draw):
-    """Ground-truth box records in any order: 1-3 keys, sparse and huge frame
-    ids, and boxes up to x = w = 1e308."""
+def proposal_lines(draw):
+    """Proposal records in any order that re-rank to finite scores: 1-3 keys,
+    sparse and huge frame ids, and 1-3 proposals per frame, with ids up to
+    2**64 in either sign."""
     lines = []
     for video, query in draw(st.lists(st.tuples(st.text(max_size=3), st.text(max_size=3)),
                                       min_size=1, max_size=3, unique=True)):
         frames = draw(st.sets(st.one_of(st.integers(1, 6), st.sampled_from([2**31, 2**63, 10**30])),
                               min_size=1, max_size=4))
         for frame in frames:
-            w, h = draw(_sides)
-            lines.append({"video": video, "query": query, "frame": frame,
-                          "x": draw(_coordinate), "y": draw(_coordinate), "w": w, "h": h})
+            for pid in draw(st.sets(st.one_of(st.integers(-3, 3), st.sampled_from([-(2**64), 2**64])),
+                                    min_size=1, max_size=3)):
+                lines.append({"video": video, "query": query, "frame": frame, "id": pid,
+                              "x": draw(_coordinate), "y": draw(_coordinate),
+                              "w": draw(_side), "h": draw(_side),
+                              "score": draw(_weight), "objectness": draw(_weight)})
     return draw(st.permutations(lines))
 
 
@@ -276,6 +273,24 @@ class TestRerankCommand:
         scores = [json.loads(line) for line in (out / "scores.jsonl").read_text().splitlines()]
         assert len(scores) == 4
         assert all("new_score" in record for record in scores)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=proposal_lines(),
+           flags=st.sampled_from([[], ["--window", "2"], ["--top-k", "1"], ["--raw"]]))
+    def test_scores_hold_one_key_and_score_row_per_proposal(self, lines, flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            proposals, out = Path(tmp, "p.jsonl"), Path(tmp, "out")
+            write_jsonl(proposals, lines)
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(["rerank", "--proposals", str(proposals), "--out", str(out),
+                             *flags]) == 0
+            rows = [json.loads(line) for line in (out / "scores.jsonl").read_text().splitlines()]
+        # Pairs sorted by (video, query), rows in (frame, id) order within each.
+        assert [(r["video"], r["query"], r["frame"], r["id"]) for r in rows] == sorted(
+            (line["video"], line["query"], line["frame"], line["id"]) for line in lines
+        )
+        assert all(list(r) == ["video", "query", "frame", "id", "new_score"] for r in rows)
+        assert all(type(r["new_score"]) is float for r in rows)
 
     def test_raw_flag_writes_baseline(self, tmp_path, toy_proposals_file):
         out = tmp_path / "out"
@@ -727,8 +742,7 @@ class TestCrossFileErrors:
         write_tracks(gt, {("vid", "other"): {1: Box(0, 0, 4, 4)}})
         out = tmp_path / "out"
         self._expect_abort(capsys, [
-            "oracle", "--oracle", "grounding", "--proposals", str(proposals),
-            "--gt-boxes", str(gt), "--out", str(out),
+            "oracle", "--proposals", str(proposals), "--gt-boxes", str(gt), "--out", str(out),
         ], out, f"ground-truth file {gt} has no entry for vid/q (from {proposals})")
 
 
@@ -1176,7 +1190,7 @@ class TestSimulateCommand:
 
 
 class TestOracleAndPipeline:
-    def test_oracle_boxes_recovers_ground_truth(self, tmp_path):
+    def test_ground_truth_boxes_score_the_upper_bound(self, tmp_path):
         scene = tmp_path / "scene.txt"
         scene.write_text(SCENE_SPEC)
         corrupt = tmp_path / "corrupt.txt"
@@ -1184,35 +1198,12 @@ class TestOracleAndPipeline:
         sim = tmp_path / "sim"
         assert main(["simulate", "--scene", str(scene), "--corrupt", str(corrupt),
                      "--out", str(sim)]) == 0
-        oracle_out = tmp_path / "oracle"
-        assert main([
-            "oracle", "--oracle", "boxes", "--gt-boxes", str(sim / "gt_boxes.jsonl"),
-            "--out", str(oracle_out),
-        ]) == 0
         report_out = tmp_path / "report"
         assert main([
-            "eval", "--pred-tracks", str(oracle_out / "tracks.jsonl"),
+            "eval", "--pred-tracks", str(sim / "gt_boxes.jsonl"),
             "--gt-boxes", str(sim / "gt_boxes.jsonl"), "--out", str(report_out),
         ]) == 0
         assert read_report(report_out)["aggregate"]["track_miou"] == 1.0
-
-    # x + w overflows here, so the IoU of the two boxes is NaN: the box
-    # oracle answers with them all the same, since it scores nothing.
-    @example(lines=[
-        {"video": "v", "query": "1", "frame": frame, "x": 1e308, "y": 0, "w": 1e308, "h": 10}
-        for frame in (1, 2)
-    ])
-    @settings(max_examples=100, deadline=None)
-    @given(lines=ground_truth_lines())
-    def test_oracle_boxes_writes_the_ground_truth(self, lines):
-        with tempfile.TemporaryDirectory() as tmp:
-            gt, expected, out = Path(tmp, "gt.jsonl"), Path(tmp, "expected.jsonl"), Path(tmp, "o")
-            write_jsonl(gt, lines)
-            write_tracks(expected, read_tracks(gt))
-            assert main([
-                "oracle", "--oracle", "boxes", "--gt-boxes", str(gt), "--out", str(out),
-            ]) == 0
-            assert (out / "tracks.jsonl").read_bytes() == expected.read_bytes()
 
     def test_oracle_grounding_assigns_best_overlap(self, tmp_path):
         proposals = tmp_path / "proposals.jsonl"
@@ -1223,8 +1214,7 @@ class TestOracleAndPipeline:
         }})
         out = tmp_path / "out"
         assert main([
-            "oracle", "--oracle", "grounding", "--proposals", str(proposals),
-            "--gt-boxes", str(gt), "--out", str(out),
+            "oracle", "--proposals", str(proposals), "--gt-boxes", str(gt), "--out", str(out),
         ]) == 0
         tracks = read_tracks(out / "tracks.jsonl")
         assert tracks[("vid", "q")] == {
@@ -1245,8 +1235,7 @@ class TestOracleAndPipeline:
         ])
         out = tmp_path / "out"
         assert main([
-            "oracle", "--oracle", "grounding", "--proposals", str(proposals),
-            "--gt-boxes", str(gt), "--out", str(out),
+            "oracle", "--proposals", str(proposals), "--gt-boxes", str(gt), "--out", str(out),
         ]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
@@ -1259,10 +1248,21 @@ class TestOracleAndPipeline:
     def test_oracle_grounding_requires_proposals(self, tmp_path):
         gt = tmp_path / "gt.jsonl"
         write_tracks(gt, {("v", "q"): {1: Box(0, 0, 2, 2)}})
+        assert main(["oracle", "--gt-boxes", str(gt), "--out", str(tmp_path / "o")]) == 1
+
+    def test_oracle_flag_is_a_usage_error(self, tmp_path, toy_proposals_file, capsys):
+        # oracle has one mode and takes no --oracle flag.
+        gt = tmp_path / "gt.jsonl"
+        write_tracks(gt, {("vid", "q"): {1: Box(0, 0, 10, 10), 2: Box(20, 0, 10, 10)}})
+        out = tmp_path / "out"
         assert main([
-            "oracle", "--oracle", "grounding", "--gt-boxes", str(gt),
-            "--out", str(tmp_path / "o"),
+            "oracle", "--oracle", "grounding", "--proposals", str(toy_proposals_file),
+            "--gt-boxes", str(gt), "--out", str(out),
         ]) == 1
+        captured = capsys.readouterr()
+        assert "usage error: unrecognized arguments: --oracle grounding" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_reranked_tracks_score_at_least_raw(self, tmp_path):
         scene = tmp_path / "scene.txt"
@@ -1304,8 +1304,7 @@ class TestPerKeyErrors:
                 (["rerank", "--proposals", str(proposals), "--raw"],
                  f"error: {proposals}: {video}/{query}: "
                  f"source weight objectness x score is not finite in frame {frame}, id 0\n"),
-                (["oracle", "--oracle", "grounding", "--proposals", str(proposals),
-                  "--gt-boxes", str(gt)],
+                (["oracle", "--proposals", str(proposals), "--gt-boxes", str(gt)],
                  f"error: {proposals} vs {gt}: {video}/{query}: "
                  f"ground-truth IoU is not finite in frame {frame}, id 0\n"),
             ]
@@ -1469,8 +1468,7 @@ _OUTPUT_COMMANDS = {
                ["jittered.jsonl"]),
     "stats": (lambda d, out: ["--out", str(out)],
               ["stats.txt", "stats.json", "attributes.jsonl"]),
-    "oracle": (lambda d, out: ["--oracle", "grounding",
-                               "--proposals", str(d / "sim" / "proposals.jsonl"),
+    "oracle": (lambda d, out: ["--proposals", str(d / "sim" / "proposals.jsonl"),
                                "--gt-boxes", str(d / "sim" / "gt_boxes.jsonl"), "--out", str(out)],
                ["tracks.jsonl"]),
     "simulate": (lambda d, out: ["--scene", str(d / "scene.txt"),
@@ -1644,12 +1642,15 @@ class TestUsageErrors:
     # oracle takes none of these options, whatever the value.
     @pytest.mark.parametrize("flag", ["--window", "--top-k", "--jobs"])
     @pytest.mark.parametrize("value", ["0", "-2", "1"])
-    def test_oracle_rejects_non_positive_window_and_top_k(self, tmp_path, capsys, flag, value):
+    def test_oracle_rejects_non_positive_window_and_top_k(
+        self, tmp_path, toy_proposals_file, capsys, flag, value
+    ):
         gt = tmp_path / "gt.jsonl"
-        write_tracks(gt, {("v", "1"): {1: Box(0, 0, 4, 4), 2: Box(1, 0, 4, 4)}})
+        write_tracks(gt, {("vid", "q"): {1: Box(0, 0, 4, 4), 2: Box(1, 0, 4, 4)}})
         out = tmp_path / "out"
         assert main([
-            "oracle", "--oracle", "boxes", "--gt-boxes", str(gt), "--out", str(out), flag, value,
+            "oracle", "--proposals", str(toy_proposals_file), "--gt-boxes", str(gt),
+            "--out", str(out), flag, value,
         ]) == 1
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()

@@ -6,10 +6,14 @@ implementation (one ``Proposal`` per line, ``max`` over candidates, one
 ``max``-based selections are kept here as oracles for the ``np.lexsort``
 ones, and ``json.dumps`` is the oracle for the column writers.
 
-One digest was re-recorded since: the full-sum ``scores.jsonl``.  The
-frame-lane kernel sums each support in another order, which moved 24 of its
-570 new scores by at most 4.4e-16, each within 1e-12 of
-``brute_force_scores``; every track digest stayed the same.
+Two digests were re-recorded since.  First the full-sum ``scores.jsonl``:
+the frame-lane kernel sums each support in another order, which moved 24 of
+its 570 new scores by at most 4.4e-16, each within 1e-12 of
+``brute_force_scores``; every track digest stayed the same.  Then both
+``scores.jsonl`` digests, when its rows shrank to the join key with the
+proposals file and the score (``video, query, frame, id, new_score``): joined
+on that key, all 570 ``new_score`` texts of each file equal the old file's,
+row for row, and every track digest stayed the same.
 """
 
 import hashlib
@@ -55,12 +59,12 @@ seed = 9
 
 PINNED_RERANK = {
     (): {
-        "scores.jsonl": "2ec6b00c79758f7b65042b50c17bc9a83149778587732c51cf810ff8ff3bd152",
+        "scores.jsonl": "b3aea795424d6f7a6186704051f83224fb5a785ed2daf4cfd702b392f959ae5c",
         "tracks.jsonl": "7e2f23985166d4051233fcd15146a7b21bc4a61dae6ca80731f67593f3bba0e5",
         "raw_tracks.jsonl": "3ffab041e9ec65ce92f4765295ea587729da7a8f1c6605b046636d99c3607e87",
     },
     ("--window", "3", "--top-k", "2"): {
-        "scores.jsonl": "904aebcd3204dbd3eff7f9fee7a8521ee05a6483fe74b406d24c93a39aea73ce",
+        "scores.jsonl": "96fa6a2b2bf5348ff11abe5089eaf05fb665f9be9b8a55f78ec699a2d8d8fb6f",
         "tracks.jsonl": "1c18415a4283da7bc79a462a085b5cf3f3702175b3a93820f812f433e5fca9c4",
         "raw_tracks.jsonl": "3ffab041e9ec65ce92f4765295ea587729da7a8f1c6605b046636d99c3607e87",
     },
@@ -112,13 +116,9 @@ def test_huge_frame_and_proposal_ids_round_trip(tmp_path):
     assert main(["rerank", "--proposals", str(path), "--out", str(out), "--raw"]) == 0
     head = '{"video": "v", "query": "q", "frame": '
     assert (out / "scores.jsonl").read_text() == (
-        head + '1, "x": 20.5, "y": 0.0, "w": 10.0, "h": 10.0, "score": 0.9, '
-        '"objectness": 0.8, "id": 3, "new_score": 0.0}\n'
-        + head + '1, "x": 0.0, "y": 0.0, "w": 10.0, "h": 10.0, "score": 0.9, '
-        '"objectness": 0.8, "id": 1180591620717411303424, '
-        '"new_score": 3.1186213057999243e-22}\n'
-        + head + '1180591620717411303424, "x": 1.0, "y": 0.0, "w": 10.0, "h": 10.0, '
-        '"score": 0.5, "objectness": 1.0, "id": 1180591620717411303424, '
+        head + '1, "id": 3, "new_score": 0.0}\n'
+        + head + '1, "id": 1180591620717411303424, "new_score": 3.1186213057999243e-22}\n'
+        + head + '1180591620717411303424, "id": 1180591620717411303424, '
         '"new_score": 2.4948970446399397e-22}\n'
     )
     far = head + '1180591620717411303424, "x": 1.0, "y": 0.0, "w": 10.0, "h": 10.0}\n'
@@ -263,18 +263,23 @@ def _expected(records):
     return "".join(json.dumps(record) + "\n" for record in records)
 
 
-def _records(key, vp, new_scores=None):
-    values = iter([] if new_scores is None else new_scores)
+def _records(key, vp):
     for frame, props in sorted(vp.frames.items()):
         for p in sorted(props, key=lambda p: p.proposal_id):
-            record = {
+            yield {
                 "video": key[0], "query": key[1], "frame": frame,
                 "x": p.box.x, "y": p.box.y, "w": p.box.w, "h": p.box.h,
                 "score": p.score, "objectness": p.objectness, "id": p.proposal_id,
             }
-            if new_scores is not None:
-                record["new_score"] = next(values)
-            yield record
+
+
+def _score_records(key, vp, new_scores):
+    """The rows of ``scores.jsonl``: the join key with the proposals file, then the score."""
+    for record, new_score in zip(_records(key, vp), new_scores, strict=True):
+        yield {
+            "video": record["video"], "query": record["query"], "frame": record["frame"],
+            "id": record["id"], "new_score": new_score,
+        }
 
 
 @settings(max_examples=200, deadline=None)
@@ -293,4 +298,4 @@ def test_write_scores_equals_json_dumps(tmp_path_factory, key, vp, data):
     scored = ScoredVideo(vp, np.array(new_scores))
     path = tmp_path_factory.mktemp("w") / "scores.jsonl"
     write_scores(path, {key: scored})
-    assert path.read_text(encoding="utf-8") == _expected(_records(key, vp, new_scores))
+    assert path.read_text(encoding="utf-8") == _expected(_score_records(key, vp, new_scores))
