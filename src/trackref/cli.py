@@ -3,11 +3,10 @@
 ``oracle`` picks each frame's proposal that best overlaps the ground-truth box;
 ``eval --pred-tracks G --gt-boxes G`` scores the ground truth G itself.
 
-Exit codes: 0 success, 1 usage error, 2 data error.  Commands validate all
-inputs before writing anything and write --out only through ``_output``, so a
-failed run leaves --out as it was.  Warnings go to stderr.  Every random draw
-flows from --seed through counter-based streams, so outputs are byte-identical
-for a given seed.  Every command runs serially: --jobs (rerank, eval and
+Exit codes: 0 success, 1 usage error, 2 data error.  Commands write --out
+only through ``_output``, so a failed run leaves --out as it was.  Warnings go
+to stderr.  Every random draw flows from --seed through counter-based streams,
+so outputs are byte-identical for a given seed.  Every command runs serially: --jobs (rerank, eval and
 simulate) is accepted for compatibility and has no effect.
 """
 
@@ -26,7 +25,7 @@ from pathlib import Path
 from statistics import fmean
 
 from . import expressions, metrics, rerank, simulate
-from .geometry import Box, Mask, read_mask, write_mask
+from .geometry import Box, read_mask, write_mask
 from .jsonl import located
 from .reports import render_json, render_text, round4
 from .rng import SplitRng
@@ -140,11 +139,12 @@ def cmd_rerank(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _read_mask_tree(root) -> dict[tuple[str, str], dict[int, Mask]]:
+def _list_mask_tree(root) -> dict[tuple[str, str], dict[int, Path]]:
+    """``{(video, query): {frame: path}}`` of a mask tree; nothing is decoded."""
     root = Path(root)
     if not root.is_dir():
         raise ValueError(f"mask directory not found: {root}")
-    out: dict[tuple[str, str], dict[int, Mask]] = {}
+    out: dict[tuple[str, str], dict[int, Path]] = {}
     for video_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         for query_dir in sorted(p for p in video_dir.iterdir() if p.is_dir()):
             files: dict[int, Path] = {}
@@ -160,9 +160,8 @@ def _read_mask_tree(root) -> dict[tuple[str, str], dict[int, Mask]]:
                         f"two mask files name frame {frame}: {files[frame]} and {mask_file}"
                     )
                 files[frame] = mask_file
-            frames = {frame: read_mask(path) for frame, path in files.items()}
-            if frames:
-                out[(video_dir.name, query_dir.name)] = frames
+            if files:
+                out[(video_dir.name, query_dir.name)] = files
     if not out:
         raise ValueError(f"no masks found under {root}")
     return out
@@ -185,26 +184,37 @@ def _eval_boxes(args):
 
 
 def _eval_masks(args):
-    pred = _read_mask_tree(args.pred_masks)
-    gt = _read_mask_tree(args.gt_masks)
+    pred = _list_mask_tree(args.pred_masks)
+    gt = _list_mask_tree(args.gt_masks)
     _require_entries(pred, gt, f"predicted mask tree {args.pred_masks}", args.gt_masks)
-
-    reports = {}
     for key in sorted(gt):
-        gt_frames = gt[key]
-        pred_frames = pred[key]
-        absent = sorted(set(gt_frames) - set(pred_frames))
+        absent = sorted(set(gt[key]) - set(pred[key]))
         if absent:
             raise ValueError(
                 f"predicted mask tree {args.pred_masks} has no masks for "
                 f"{key[0]}/{key[1]} frames {absent} (from {args.gt_masks})"
             )
-        with located(f"{args.pred_masks} vs {args.gt_masks}: {key[0]}/{key[1]}"):
-            report = metrics.evaluate_masks(
-                {f: pred_frames[f] for f in gt_frames}, gt_frames, tolerance=args.f_tol
-            )
-        reports[key] = {name: round4(getattr(report, name)) for name in _MASK_METRICS}
+    # Every listed file is decoded once, a key or frame that no ground truth
+    # uses too, so that a corrupt one still fails the run.
+    reports = {}
+    for key in sorted(pred):
+        report = _eval_mask_key(args, key, pred[key], gt.get(key, {}))
+        if report is not None:
+            reports[key] = report
     return reports
+
+
+def _eval_mask_key(args, key, pred_files, gt_files):
+    """One key's report, or None without ground truth; its masks are dropped on return."""
+    pred_frames = {frame: read_mask(path) for frame, path in pred_files.items()}
+    gt_frames = {frame: read_mask(path) for frame, path in gt_files.items()}
+    if not gt_frames:
+        return None
+    with located(f"{args.pred_masks} vs {args.gt_masks}: {key[0]}/{key[1]}"):
+        report = metrics.evaluate_masks(
+            {f: pred_frames[f] for f in gt_frames}, gt_frames, tolerance=args.f_tol
+        )
+    return {name: round4(getattr(report, name)) for name in _MASK_METRICS}
 
 
 def _breakdown_section(pairs, document, label, per_query, attrs):
@@ -281,50 +291,51 @@ def _read_spec(parse, path):
 
 
 def cmd_simulate(args) -> int:
-    scene_spec = _read_spec(simulate.parse_scene_spec, args.scene)
+    spec = _read_spec(simulate.parse_scene_spec, args.scene)
     corruption = _read_spec(simulate.parse_corruption_spec, args.corrupt)
-    with located(args.scene):
-        gt = simulate.generate_scene(scene_spec)
-    # Every scene shares the ground truth: one read-only entry dict per query.
-    gt_entries = {
-        str(query): {frame: box for frame, box in boxes.items() if box is not None}
-        for query, boxes in gt.boxes.items()
-    }
     videos = [f"scene_{index:03d}" for index in range(args.scenes)]
-    all_tracks: dict[tuple[str, str], dict[int, Box]] = {}
-    all_proposals: dict[tuple[str, str], rerank.VideoProposals] = {}
-    for index, video in enumerate(videos):
-        rng = SplitRng(corruption.seed, "sweep", args.seed, index)
-        for query, vp in simulate.generate_proposals(gt, corruption, rng).items():
-            all_proposals[(video, query)] = vp
-            all_tracks[(video, query)] = gt_entries[query]
-
     extension = ".pbm" if args.mask_format == "pbm" else ".rle"
     with _output(args.out) as out:
-        rerank.write_tracks(out / "gt_boxes.jsonl", all_tracks)
-        rerank.write_proposals(out / "proposals.jsonl", all_proposals)
-        digests = {path: hashlib.sha256(path.read_bytes()).hexdigest()
-                   for path in (out / "gt_boxes.jsonl", out / "proposals.jsonl")}
         # Every scene shares the ground-truth masks: each is encoded and hashed
         # once into scene 000's file, and the other scenes' paths are hard links
         # to it, or copies where the file system has no hard links.
-        for query in sorted(gt.masks):
-            mask_dirs = [out / "masks" / video / str(query) for video in videos]
-            for mask_dir in mask_dirs:
+        mask_dirs = {}
+        for query in range(1, len(spec.objects) + 1):
+            mask_dirs[query] = [out / "masks" / video / str(query) for video in videos]
+            for mask_dir in mask_dirs[query]:
                 mask_dir.mkdir(parents=True)
-            for frame in sorted(gt.masks[query]):
-                name = f"{frame:05d}{extension}"
-                first = mask_dirs[0] / name
-                data = write_mask(first, gt.masks[query][frame])
-                digest = hashlib.sha256(data).hexdigest()
-                digests[first] = digest
-                for mask_dir in mask_dirs[1:]:
-                    path = mask_dir / name
-                    try:
-                        os.link(first, path)
-                    except OSError:
-                        path.write_bytes(data)
-                    digests[path] = digest
+        digests = {}
+
+        def write_scene_mask(query, frame, mask):
+            name = f"{frame:05d}{extension}"
+            first, *others = (mask_dir / name for mask_dir in mask_dirs[query])
+            data = write_mask(first, mask)
+            digests[first] = digest = hashlib.sha256(data).hexdigest()
+            for path in others:
+                try:
+                    os.link(first, path)
+                except OSError:
+                    path.write_bytes(data)
+                digests[path] = digest
+
+        with located(args.scene):
+            boxes = simulate.generate_scene(spec, write_scene_mask)
+        # Every scene shares the ground truth: one read-only entry dict per query.
+        gt_entries = {
+            str(query): {frame: box for frame, box in frames.items() if box is not None}
+            for query, frames in boxes.items()
+        }
+        all_tracks: dict[tuple[str, str], dict[int, Box]] = {}
+        all_proposals: dict[tuple[str, str], rerank.VideoProposals] = {}
+        for index, video in enumerate(videos):
+            rng = SplitRng(corruption.seed, "sweep", args.seed, index)
+            for query, vp in simulate.generate_proposals(spec, boxes, corruption, rng).items():
+                all_proposals[(video, query)] = vp
+                all_tracks[(video, query)] = gt_entries[query]
+        rerank.write_tracks(out / "gt_boxes.jsonl", all_tracks)
+        rerank.write_proposals(out / "proposals.jsonl", all_proposals)
+        for path in (out / "gt_boxes.jsonl", out / "proposals.jsonl"):
+            digests[path] = hashlib.sha256(path.read_bytes()).hexdigest()
 
         manifest_lines = [f"{digests[path]}  {path.relative_to(out)}" for path in sorted(digests)]
         manifest = "\n".join(manifest_lines) + "\n"

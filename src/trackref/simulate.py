@@ -5,8 +5,7 @@ the resulting ground truth the way an unstable per-frame grounding model
 would: jittered target boxes, random distractor boxes, score noise, and
 occasional identity switches where the target's score trades places with a
 distractor's.  Everything is driven by the counter-based generator in
-:mod:`trackref.rng`, so outputs are byte-identical for a given seed at any
-degree of parallelism.
+:mod:`trackref.rng`, so outputs are byte-identical for a given seed.
 
 Also here: the box jitter used to harden a box-guided segmenter against
 sloppy localization (each edge offset drawn uniformly within a fraction of
@@ -84,17 +83,6 @@ class CorruptionSpec:
             raise ValueError("id_switch_prob must be within [0, 1]")
         if not 0 <= self.box_jitter_fraction < math.inf:
             raise ValueError("box_jitter_fraction must be finite and >= 0")
-
-
-@dataclass
-class SceneGroundTruth:
-    """Per-object, per-frame masks and tight boxes for one rendered scene."""
-
-    width: int
-    height: int
-    num_frames: int
-    masks: dict[int, dict[int, Mask]]
-    boxes: dict[int, dict[int, Box | None]]
 
 
 # ---------------------------------------------------------------------------
@@ -316,21 +304,21 @@ def guidance_channels(rgb: np.ndarray, flow_magnitude: np.ndarray, box: Box) -> 
 # Scene generation and corruption
 # ---------------------------------------------------------------------------
 
-def generate_scene(spec: SceneSpec) -> SceneGroundTruth:
-    """Render ground-truth masks and boxes for every object and frame.
+def generate_scene(spec: SceneSpec, sink) -> dict[int, dict[int, Box | None]]:
+    """Tight boxes ``{object: {frame: box}}`` of every object in every frame.
 
-    Frame t carries the initial rectangle warped by the object's motion
-    composed t-1 times (composition, not repeated warping, so rounding does
-    not accumulate).  Objects that leave the image get a None box.  A
-    transform that is not invertible at a rendered frame raises ValueError
-    starting ``object <k>, frame <t>``.
+    Each mask goes to ``sink(object, frame, mask)`` as it is rendered,
+    objects then frames in order, and none is kept.  Frame t carries the
+    initial rectangle warped by the object's motion composed t-1 times
+    (composition, not repeated warping, so rounding does not accumulate).
+    Objects that leave the image get a None box.  A transform that is not
+    invertible at a rendered frame raises ValueError starting
+    ``object <k>, frame <t>``.
     """
-    masks: dict[int, dict[int, Mask]] = {}
     boxes: dict[int, dict[int, Box | None]] = {}
     for index, obj in enumerate(spec.objects, start=1):
         base = rasterize_box(obj.initial_box, spec.width, spec.height)
-        per_frame_masks: dict[int, Mask] = {}
-        per_frame_boxes: dict[int, Box | None] = {}
+        per_frame = boxes[index] = {}
         transform = AffineTransform.identity()
         for frame in range(1, spec.num_frames + 1):
             mask = base
@@ -338,11 +326,9 @@ def generate_scene(spec: SceneSpec) -> SceneGroundTruth:
                 with located(f"object {index}, frame {frame}"):
                     transform = obj.motion.compose(transform)
                     mask = warp_mask(base, transform)
-            per_frame_masks[frame] = mask
-            per_frame_boxes[frame] = box_from_mask(mask)
-        masks[index] = per_frame_masks
-        boxes[index] = per_frame_boxes
-    return SceneGroundTruth(spec.width, spec.height, spec.num_frames, masks, boxes)
+            sink(index, frame, mask)
+            per_frame[frame] = box_from_mask(mask)
+    return boxes
 
 
 def _clamp01(value: float) -> float:
@@ -364,19 +350,21 @@ def _distractor_boxes(units: np.ndarray, width: int, height: int) -> np.ndarray:
 
 
 def generate_proposals(
-    gt: SceneGroundTruth,
+    spec: SceneSpec,
+    boxes: dict[int, dict[int, Box | None]],
     corruption: CorruptionSpec,
     rng: SplitRng | None = None,
 ) -> dict[str, VideoProposals]:
     """Corrupted per-frame proposals of a scene, ``{query: table}``, one query per object.
 
-    Per frame and object: the true box jittered by ``box_jitter_fraction``
-    with score clamp01(0.8 + noise) and proposal id 0, plus
-    ``distractors_per_frame`` boxes drawn independently each frame with score
-    clamp01(0.3 + noise) and ids 1..D.  With probability ``id_switch_prob``
-    the target's score trades places with one distractor's for that frame.
-    All draws come from streams keyed by (seed, object, frame, purpose), so
-    output is reproducible and independent of evaluation order.
+    ``boxes`` is what :func:`generate_scene` returns for ``spec``.  Per frame
+    and object: the true box jittered by ``box_jitter_fraction`` with score
+    clamp01(0.8 + noise) and proposal id 0, plus ``distractors_per_frame``
+    boxes drawn independently each frame with score clamp01(0.3 + noise) and
+    ids 1..D.  With probability ``id_switch_prob`` the target's score trades
+    places with one distractor's for that frame.  All draws come from streams
+    keyed by (seed, object, frame, purpose), so output is reproducible and
+    independent of evaluation order.
     """
     if rng is None:
         rng = SplitRng(corruption.seed)
@@ -384,7 +372,7 @@ def generate_proposals(
     count = corruption.distractors_per_frame
     distractor_ids = range(1, count + 1)
     out: dict[str, VideoProposals] = {}
-    for obj_index in sorted(gt.boxes):
+    for obj_index in sorted(boxes):
         # Path folding is sequential, so the shared prefixes are folded once:
         # child("object", i, "frame").child(f) is child("object", i, "frame", f).
         frames_rng = rng.child("object", obj_index, "frame")
@@ -394,14 +382,14 @@ def generate_proposals(
         scores: list[float] = []
         targets: list[tuple] = []
         units = []
-        for frame in range(1, gt.num_frames + 1):
+        for frame in range(1, spec.num_frames + 1):
             frame_rng = frames_rng.child(frame)
             first = len(scores)
-            true_box = gt.boxes[obj_index].get(frame)
+            true_box = boxes[obj_index].get(frame)
             if true_box is not None:
                 targets.append(_jittered(
                     true_box, corruption.box_jitter_fraction,
-                    frame_rng.child("jitter"), gt.width, gt.height,
+                    frame_rng.child("jitter"), spec.width, spec.height,
                 ))
                 noise = frame_rng.child("target-score").normal(0.0, noise_sd)
                 scores.append(_clamp01(TARGET_BASE_SCORE + noise))
@@ -426,13 +414,13 @@ def generate_proposals(
                 frames.append(frame)
                 sizes.append(len(scores) - first)
         is_target = np.array(ids) == 0
-        boxes = np.empty((len(ids), 4))
-        boxes[is_target] = np.reshape(targets, (-1, 4))
-        boxes[~is_target] = _distractor_boxes(
-            np.concatenate(units), gt.width, gt.height
+        xywh = np.empty((len(ids), 4))
+        xywh[is_target] = np.reshape(targets, (-1, 4))
+        xywh[~is_target] = _distractor_boxes(
+            np.concatenate(units), spec.width, spec.height
         )
         out[str(obj_index)] = VideoProposals(
-            frames, np.repeat(np.arange(len(frames)), sizes), ids, boxes, np.array(scores),
+            frames, np.repeat(np.arange(len(frames)), sizes), ids, xywh, np.array(scores),
             np.full(len(ids), PROPOSAL_OBJECTNESS),
         )
     return out

@@ -83,8 +83,8 @@ def test_01_oracle_anchor(tmp_path):
                     AffineTransform.translation(1.0 if v % 2 else -0.25, 0.25),
                 ),),
             )
-            gt = generate_scene(spec)
-            for frame, box in sorted(gt.boxes[1].items()):
+            boxes = generate_scene(spec, lambda *_: None)
+            for frame, box in sorted(boxes[1].items()):
                 if box is None:
                     continue
                 base = {
@@ -174,16 +174,16 @@ def test_04_coherence_improvement():
                     Box(38, 25, 20, 14), AffineTransform.translation(dx, dy)
                 ),),
             )
-            gt = generate_scene(spec)
+            boxes = generate_scene(spec, lambda *_: None)
             corruption = CorruptionSpec(
                 distractors_per_frame=3, score_noise_sd=0.05,
                 id_switch_prob=0.3, box_jitter_fraction=0.1, seed=index,
             )
-            vp = generate_proposals(gt, corruption)["1"]
+            vp = generate_proposals(spec, boxes, corruption)["1"]
             reranked = select_track(rerank_scores(vp))
             baseline = raw_select(vp)
-            reranked_miou = track_miou(reranked, gt.boxes[1])
-            raw_miou = track_miou(baseline, gt.boxes[1])
+            reranked_miou = track_miou(reranked, boxes[1])
+            raw_miou = track_miou(baseline, boxes[1])
             reranked_means.append(reranked_miou)
             raw_means.append(raw_miou)
             if reranked_miou > raw_miou:

@@ -125,15 +125,15 @@ def distractors_by_scalar_draws(rng, obj_index, frame, count, sd, width, height)
 @settings(max_examples=25, deadline=None)
 @given(seed=any_int, count=st.integers(0, 31), sd=st.floats(0, 2))
 def test_generated_distractors_match_scalar_streams(seed, count, sd):
-    gt = generate_scene(parse_scene_spec(SMALL_SCENE))
+    spec = parse_scene_spec(SMALL_SCENE)
     corruption = CorruptionSpec(distractors_per_frame=count, score_noise_sd=sd)
     rng = SplitRng(seed, "sweep")
-    videos = generate_proposals(gt, corruption, rng)
+    videos = generate_proposals(spec, generate_scene(spec, lambda *_: None), corruption, rng)
     for query, vp in videos.items():
         for frame, proposals in vp.frames.items():
             got = [(p.proposal_id, p.box, p.score) for p in proposals if p.proposal_id > 0]
             assert got == distractors_by_scalar_draws(
-                rng, int(query), frame, count, sd, gt.width, gt.height
+                rng, int(query), frame, count, sd, spec.width, spec.height
             )
 
 

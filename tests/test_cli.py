@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,12 @@ id_switch_prob = 0
 box_jitter_fraction = 0
 seed = 5
 """
+
+# Renders 20 frames; frame 21 fails (see test_shrinking_scene_renders_every_frame_it_can).
+SHRINKING_SCENE = (
+    "width = 48\nheight = 32\nnum_frames = {}\nobject1.box = 4 6 40 24\n"
+    "object1.motion = 0.5 0 0 0 0.5 0\n"
+)
 
 
 MASK_ATTRIBUTES = [
@@ -580,6 +587,25 @@ class TestEvalCommand:
             f"error: {bad}: PBM payload contains characters other than 0/1\n"
         )
 
+    @pytest.mark.parametrize("unused", ["v/2/00001.pbm", "v/1/00002.pbm"])
+    def test_corrupt_mask_that_no_ground_truth_uses_is_named(self, tmp_path, capsys, unused):
+        # A predicted key, or a predicted frame, that the ground truth lacks.
+        mask = rasterize_box(Box(1, 1, 2, 2), 6, 4)
+        write_mask_tree(tmp_path / "gt", ("v", "1"), (1,), mask)
+        write_mask_tree(tmp_path / "pred", ("v", "1"), (1,), mask)
+        bad = tmp_path / "pred" / unused
+        bad.parent.mkdir(exist_ok=True)
+        bad.write_text("P1\n2 2\n0 1 2 1\n")
+        out = tmp_path / "report"
+        assert main([
+            "eval", "--pred-masks", str(tmp_path / "pred"), "--gt-masks", str(tmp_path / "gt"),
+            "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: PBM payload contains characters other than 0/1\n"
+        )
+        assert not out.exists()
+
     def test_oversized_rle_mask_file_is_a_data_error(self, tmp_path, capsys):
         write_mask_tree(tmp_path / "pred", ("v", "1"), (1,), rasterize_box(Box(1, 1, 2, 2), 6, 4))
         bad = tmp_path / "gt" / "v" / "1" / "00001.rle"
@@ -1025,9 +1051,7 @@ class TestSimulateCommand:
         # 0.25 ** 19 ~ 3.6e-12; the 21st frame needs 0.25 ** 20 ~ 9.1e-13, below
         # the 1e-12 floor.  Nothing is composed for a frame that is not rendered.
         scene, corrupt = self._specs(tmp_path)
-        text = "width = 48\nheight = 32\nnum_frames = {}\nobject1.box = 4 6 40 24\n" \
-               "object1.motion = 0.5 0 0 0 0.5 0\n"
-        scene.write_text(text.format(20))
+        scene.write_text(SHRINKING_SCENE.format(20))
         out = tmp_path / "out"
         assert main(["simulate", "--scene", str(scene), "--corrupt", str(corrupt),
                      "--out", str(out)]) == 0
@@ -1039,7 +1063,7 @@ class TestSimulateCommand:
             assert digest == hashlib.sha256((out / relative).read_bytes()).hexdigest()
         assert (out / "masks" / "scene_000" / "1" / "00020.rle").exists()
 
-        scene.write_text(text.format(21))
+        scene.write_text(SHRINKING_SCENE.format(21))
         out = tmp_path / "out21"
         assert main(["simulate", "--scene", str(scene), "--corrupt", str(corrupt),
                      "--out", str(out)]) == 2
@@ -1048,6 +1072,26 @@ class TestSimulateCommand:
             "affine transform is not invertible (determinant ~ 0)\n"
         )
         assert not out.exists()
+
+    def test_a_failure_part_way_through_rendering_leaves_out_as_it_was(self, tmp_path, capsys):
+        # Frame 21 fails after 20 masks of each scene are written, under names
+        # that the earlier run's files hold too.
+        scene, corrupt = self._specs(tmp_path)
+        out = tmp_path / "out"
+        assert self._simulate(scene, corrupt, out, "--scenes", "2") == 0
+        capsys.readouterr()
+        before = tree_state(out)
+        scene.write_text(SHRINKING_SCENE.format(21))
+        assert self._simulate(scene, corrupt, out, "--scenes", "2") == 2
+        assert capsys.readouterr().err == (
+            f"error: {scene}: object 1, frame 21: "
+            "affine transform is not invertible (determinant ~ 0)\n"
+        )
+        assert tree_state(out) == before
+        for line in (out / "MANIFEST.txt").read_text().splitlines():
+            digest, relative = line.split("  ")
+            assert digest == hashlib.sha256((out / relative).read_bytes()).hexdigest()
+        assert not list(out.glob(".trackref-*"))
 
     def test_spec_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
         scene, corrupt = self._specs(tmp_path)
@@ -1615,6 +1659,60 @@ class TestOutputDirectory:
             assert main(argv) == 0
             assert capsys.readouterr().err == f"reranked 1 (video, query) pairs into {out}\n"
         assert sorted(p.name for p in out.iterdir()) == sorted(_OUTPUT_COMMANDS["rerank"][1])
+
+
+def traced_peak(argv):
+    """The ``tracemalloc`` peak, in bytes, of ``main(argv)``, which must succeed."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+class TestMemory:
+    """``simulate`` holds one mask at a time, and ``eval`` one key's masks.
+
+    Each pair of runs follows an untraced warm-up run, so that one-time
+    allocations count in neither.  The masks are 256x256, one byte a pixel.
+    """
+
+    MASK_BYTES = 256 * 256
+
+    def test_simulate_peak_does_not_grow_with_frames(self, tmp_path):
+        corrupt = tmp_path / "corrupt.txt"
+        corrupt.write_text(CLEAN_CORRUPTION)
+
+        def argv(frames, out):
+            scene = tmp_path / f"scene_{frames}.txt"
+            scene.write_text(
+                f"width = 256\nheight = 256\nnum_frames = {frames}\n"
+                "object1.box = 8 8 64 64\nobject1.motion = 1 0 2 0 1 1\n"
+            )
+            return ["simulate", "--scene", str(scene), "--corrupt", str(corrupt),
+                    "--out", str(tmp_path / out)]
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv(10, "warm-up")) == 0
+        short, long = traced_peak(argv(10, "short")), traced_peak(argv(40, "long"))
+        assert abs(long - short) < 2 * self.MASK_BYTES
+
+    def test_eval_peak_does_not_grow_with_keys(self, tmp_path):
+        mask = rasterize_box(Box(8, 8, 64, 64), 256, 256)
+        for keys in (1, 4):
+            for query in range(1, keys + 1):
+                write_mask_tree(tmp_path / str(keys), ("v", str(query)), range(1, 11), mask)
+
+        def argv(keys, out):
+            tree = str(tmp_path / str(keys))
+            return ["eval", "--pred-masks", tree, "--gt-masks", tree, "--out", str(tmp_path / out)]
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv(1, "warm-up")) == 0
+        one, four = traced_peak(argv(1, "one")), traced_peak(argv(4, "four"))
+        assert abs(four - one) < 2 * 10 * self.MASK_BYTES  # one key's masks in both trees
 
 
 class TestUsageErrors:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackref.geometry import (
     AffineTransform,
@@ -247,22 +249,61 @@ def _moving_scene(dx=2.0, num_frames=8):
     )
 
 
+def _boxes(spec):
+    """``generate_scene``'s boxes of ``spec``; its masks are dropped."""
+    return generate_scene(spec, lambda *_: None)
+
+
+@st.composite
+def scene_specs(draw):
+    """A scene of 1-6 frames and 1-3 objects whose first boxes lie in the frame."""
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    objects = []
+    for _ in range(draw(st.integers(1, 3))):
+        w, h = draw(st.integers(1, width)), draw(st.integers(1, height))
+        box = Box(draw(st.integers(0, width - w)), draw(st.integers(0, height - h)), w, h)
+        scale = draw(st.sampled_from([1.0, 1.1, 0.9]))
+        motion = AffineTransform(scale, 0, draw(st.integers(-3, 3)),
+                                 0, scale, draw(st.integers(-3, 3)))
+        objects.append(ObjectSpec(box, motion))
+    return SceneSpec(width, height, draw(st.integers(1, 6)), tuple(objects))
+
+
 class TestGenerateScene:
     def test_static_object_repeats_masks(self):
-        gt = generate_scene(_static_scene())
-        first = gt.masks[1][1]
+        masks = {}
+        boxes = generate_scene(
+            _static_scene(), lambda obj, frame, mask: masks.setdefault((obj, frame), mask.copy())
+        )
+        first = masks[1, 1]
         for frame in range(2, 5):
-            assert np.array_equal(gt.masks[1][frame], first)
-            assert gt.boxes[1][frame] == gt.boxes[1][1]
+            assert np.array_equal(masks[1, frame], first)
+            assert boxes[1][frame] == boxes[1][1]
+
+    @settings(max_examples=50, deadline=None)
+    @given(spec=scene_specs())
+    def test_sink_gets_each_mask_in_order_and_its_box_is_returned(self, spec):
+        calls = []
+
+        def sink(obj, frame, mask):
+            assert mask.shape == (spec.height, spec.width)
+            calls.append((obj, frame, box_from_mask(mask)))
+
+        boxes = generate_scene(spec, sink)
+        assert [call[:2] for call in calls] == [
+            (obj, frame) for obj in range(1, len(spec.objects) + 1)
+            for frame in range(1, spec.num_frames + 1)
+        ]
+        assert all(box == boxes[obj][frame] for obj, frame, box in calls)
+        assert sum(map(len, boxes.values())) == len(calls)
 
     def test_translation_advances_box(self):
-        gt = generate_scene(_moving_scene(dx=2.0, num_frames=5))
+        boxes = _boxes(_moving_scene(dx=2.0, num_frames=5))
         for frame in range(1, 6):
-            assert gt.boxes[1][frame] == Box(2 + 2 * (frame - 1), 6, 10, 8)
+            assert boxes[1][frame] == Box(2 + 2 * (frame - 1), 6, 10, 8)
 
     def test_object_exits_with_trailing_none(self):
-        gt = generate_scene(_moving_scene(dx=12.0, num_frames=8))
-        boxes = [gt.boxes[1][f] for f in range(1, 9)]
+        boxes = list(_boxes(_moving_scene(dx=12.0, num_frames=8))[1].values())
         assert boxes[0] is not None
         assert boxes[-1] is None
         seen_none = False
@@ -291,21 +332,24 @@ class TestGenerateScene:
 
 class TestGenerateProposals:
     def test_uncorrupted_proposals_recover_ground_truth(self):
-        gt = generate_scene(_moving_scene(dx=1.0, num_frames=6))
-        proposals = generate_proposals(gt, CorruptionSpec(seed=5))
+        spec = _moving_scene(dx=1.0, num_frames=6)
+        boxes = _boxes(spec)
+        proposals = generate_proposals(spec, boxes, CorruptionSpec(seed=5))
         track = raw_select(proposals["1"])
-        assert track_miou(track, gt.boxes[1]) == 1.0
+        assert track_miou(track, boxes[1]) == 1.0
 
     def test_same_seed_is_identical(self):
-        gt = generate_scene(_moving_scene())
-        first = generate_proposals(gt, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=9))
-        second = generate_proposals(gt, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=9))
+        spec = _moving_scene()
+        boxes = _boxes(spec)
+        first = generate_proposals(spec, boxes, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=9))
+        second = generate_proposals(spec, boxes, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=9))
         assert first["1"].frames == second["1"].frames
 
     def test_different_seeds_differ(self):
-        gt = generate_scene(_moving_scene())
-        first = generate_proposals(gt, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=9))
-        second = generate_proposals(gt, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=10))
+        spec = _moving_scene()
+        boxes = _boxes(spec)
+        first = generate_proposals(spec, boxes, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=9))
+        second = generate_proposals(spec, boxes, CorruptionSpec(3, 0.05, 0.3, 0.1, seed=10))
         assert first["1"].frames != second["1"].frames
 
     def test_multi_object_scene_yields_independent_queries(self):
@@ -316,16 +360,17 @@ class TestGenerateProposals:
                 ObjectSpec(Box(30, 18, 10, 10), AffineTransform.identity()),
             ),
         )
-        gt = generate_scene(spec)
-        proposals = generate_proposals(gt, CorruptionSpec(2, 0.02, 0.0, 0.05, seed=2))
+        proposals = generate_proposals(
+            spec, _boxes(spec), CorruptionSpec(2, 0.02, 0.0, 0.05, seed=2)
+        )
         assert set(proposals) == {"1", "2"}
         for vp in proposals.values():
             assert vp.frame_ids == [1, 2, 3, 4]
 
     def test_switched_scores_swap_target_and_distractor(self):
-        gt = generate_scene(_static_scene(num_frames=3))
+        spec = _static_scene(num_frames=3)
         always = generate_proposals(
-            gt, CorruptionSpec(1, 0.0, 1.0, 0.0, seed=4)
+            spec, _boxes(spec), CorruptionSpec(1, 0.0, 1.0, 0.0, seed=4)
         )["1"]
         for frame, proposals in always.frames.items():
             by_id = {p.proposal_id: p for p in proposals}
