@@ -320,18 +320,14 @@ def cmd_simulate(args) -> int:
 
         with located(args.scene):
             boxes = simulate.generate_scene(spec, write_scene_mask)
-        # Every scene shares the ground truth: one read-only entry dict per query.
-        gt_entries = {
-            str(query): {frame: box for frame, box in frames.items() if box is not None}
-            for query, frames in boxes.items()
-        }
         all_tracks: dict[tuple[str, str], dict[int, Box]] = {}
         all_proposals: dict[tuple[str, str], rerank.VideoProposals] = {}
         for index, video in enumerate(videos):
             rng = SplitRng(corruption.seed, "sweep", args.seed, index)
             for query, vp in simulate.generate_proposals(spec, boxes, corruption, rng).items():
                 all_proposals[(video, query)] = vp
-                all_tracks[(video, query)] = gt_entries[query]
+                # Every scene shares the ground truth: one read-only track per query.
+                all_tracks[(video, query)] = boxes[int(query)]
         rerank.write_tracks(out / "gt_boxes.jsonl", all_tracks)
         rerank.write_proposals(out / "proposals.jsonl", all_proposals)
         for path in (out / "gt_boxes.jsonl", out / "proposals.jsonl"):
@@ -469,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="trackref", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("rerank", parents=[], help="temporally re-rank proposals into tracks")
+    p = commands.add_parser("rerank", help="temporally re-rank proposals into tracks")
     p.add_argument("--proposals", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--window", type=_positive_int, default=None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from statistics import fmean
@@ -182,10 +182,10 @@ _CORPUS_FIELDS = {
     "is_coco": FLAG, "invalid_over_time": FLAG_OR_NULL,
 }
 _CORPUS_DEFAULTS = {"is_coco": False, "invalid_over_time": None}
+# The key, then QueryAttributes' tags in field order: read_attributes passes them by position.
 _ATTRIBUTE_FIELDS = {
-    "video": NAME, "object": NAME, "is_coco": FLAG, "has_spatial": FLAG,
-    "has_verb": FLAG, "length_bin": NAME, "num_objects_bin": NAME,
-    "annotation_type": NAME,
+    "video": NAME, "object": NAME,
+    **{f.name: {"bool": FLAG, "str": NAME}[f.type] for f in fields(QueryAttributes)},
 }
 
 

@@ -85,15 +85,15 @@ class QueryAttributes:
                 raise ValueError(f"invalid {name} {value!r}")
 
 
-def track_iou_series(pred: Mapping[int, Box], gt_boxes: Mapping[int, Box | None]) -> list[float]:
-    """Per-frame overlap of a track against ground-truth boxes.
+def track_iou_series(pred: Mapping[int, Box], gt_boxes: Mapping[int, Box]) -> list[float]:
+    """Per-frame overlap of a track against a ground-truth ``{frame: box}`` track.
 
-    Frames with a ground-truth box define the evaluation set; a missing
-    prediction on such a frame contributes 0.  An overlap that is not finite
-    (boxes near the float range overflow it) raises ValueError naming the
-    frame.
+    The ground-truth frames are the evaluation set: a missing prediction on
+    such a frame contributes 0, and a predicted frame outside it is ignored.
+    An overlap that is not finite (boxes near the float range overflow it)
+    raises ValueError naming the frame.
     """
-    frames = sorted(f for f, box in gt_boxes.items() if box is not None)
+    frames = sorted(gt_boxes)
     if not frames:
         raise ValueError("no ground-truth frames to evaluate")
     series = []
@@ -105,7 +105,7 @@ def track_iou_series(pred: Mapping[int, Box], gt_boxes: Mapping[int, Box | None]
     return series
 
 
-def track_miou(pred: Mapping[int, Box], gt_boxes: Mapping[int, Box | None]) -> float:
+def track_miou(pred: Mapping[int, Box], gt_boxes: Mapping[int, Box]) -> float:
     return fmean(track_iou_series(pred, gt_boxes))
 
 

@@ -304,18 +304,18 @@ def guidance_channels(rgb: np.ndarray, flow_magnitude: np.ndarray, box: Box) -> 
 # Scene generation and corruption
 # ---------------------------------------------------------------------------
 
-def generate_scene(spec: SceneSpec, sink) -> dict[int, dict[int, Box | None]]:
-    """Tight boxes ``{object: {frame: box}}`` of every object in every frame.
+def generate_scene(spec: SceneSpec, sink) -> dict[int, dict[int, Box]]:
+    """Ground truth ``{object: {frame: box}}``, each object's tight boxes as a track.
 
     Each mask goes to ``sink(object, frame, mask)`` as it is rendered,
     objects then frames in order, and none is kept.  Frame t carries the
     initial rectangle warped by the object's motion composed t-1 times
     (composition, not repeated warping, so rounding does not accumulate).
-    Objects that leave the image get a None box.  A transform that is not
-    invertible at a rendered frame raises ValueError starting
-    ``object <k>, frame <t>``.
+    Like any track, it has no entry for a frame whose mask is empty (the
+    object has left the image).  A transform that is not invertible at a
+    rendered frame raises ValueError starting ``object <k>, frame <t>``.
     """
-    boxes: dict[int, dict[int, Box | None]] = {}
+    boxes: dict[int, dict[int, Box]] = {}
     for index, obj in enumerate(spec.objects, start=1):
         base = rasterize_box(obj.initial_box, spec.width, spec.height)
         per_frame = boxes[index] = {}
@@ -327,7 +327,8 @@ def generate_scene(spec: SceneSpec, sink) -> dict[int, dict[int, Box | None]]:
                     transform = obj.motion.compose(transform)
                     mask = warp_mask(base, transform)
             sink(index, frame, mask)
-            per_frame[frame] = box_from_mask(mask)
+            if (box := box_from_mask(mask)) is not None:
+                per_frame[frame] = box
     return boxes
 
 
@@ -351,7 +352,7 @@ def _distractor_boxes(units: np.ndarray, width: int, height: int) -> np.ndarray:
 
 def generate_proposals(
     spec: SceneSpec,
-    boxes: dict[int, dict[int, Box | None]],
+    boxes: dict[int, dict[int, Box]],
     corruption: CorruptionSpec,
     rng: SplitRng | None = None,
 ) -> dict[str, VideoProposals]:

@@ -85,8 +85,6 @@ def test_01_oracle_anchor(tmp_path):
             )
             boxes = generate_scene(spec, lambda *_: None)
             for frame, box in sorted(boxes[1].items()):
-                if box is None:
-                    continue
                 base = {
                     "video": f"video_{v:02d}", "query": "1", "frame": frame,
                     "x": box.x, "y": box.y, "w": box.w, "h": box.h,

@@ -88,14 +88,19 @@ class TestTrackMiou:
         track = {1: Box(0, 0, 10, 10), 2: Box(5, 0, 10, 10)}
         assert track_miou(track, gt) == pytest.approx((1.0 + 1 / 3) / 2, abs=1e-12)
 
-    def test_gt_none_frames_excluded(self):
-        gt = {1: Box(0, 0, 4, 4), 2: None}
-        track = {1: Box(0, 0, 4, 4)}
-        assert track_iou_series(track, gt) == [1.0]
+    def test_predicted_frames_outside_ground_truth_ignored(self):
+        # Ground truth has no frame 2 (the object is off-frame there): neither
+        # a prediction at frame 2 nor one past the last ground-truth frame counts.
+        gt = {1: Box(0, 0, 4, 4), 3: Box(2, 0, 4, 4)}
+        track = {1: Box(0, 0, 4, 4), 2: Box(9, 9, 1, 1), 3: Box(2, 0, 4, 4), 4: Box(0, 0, 1, 1)}
+        assert track_iou_series(track, gt) == [1.0, 1.0]
+        assert track_iou_series({1: Box(0, 0, 4, 4)}, gt) == [1.0, 0.0]
 
     def test_no_gt_frames_rejected(self):
-        with pytest.raises(ValueError, match="no ground-truth"):
-            track_miou({}, {1: None})
+        with pytest.raises(ValueError, match="no ground-truth frames"):
+            track_miou({}, {})
+        with pytest.raises(ValueError, match="no ground-truth frames"):
+            track_iou_series({1: Box(0, 0, 4, 4)}, {})
 
 
 class TestSeriesStats:

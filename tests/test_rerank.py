@@ -385,7 +385,7 @@ class TestOracleAssign:
 
     def test_missing_gt_or_proposals_leaves_gaps(self):
         vp = toy_video()
-        track = oracle_assign(vp, {1: Box(0, 0, 10, 10), 2: None, 3: Box(0, 0, 1, 1)})
+        track = oracle_assign(vp, {1: Box(0, 0, 10, 10), 3: Box(0, 0, 1, 1)})
         assert set(track) == {1}
 
 

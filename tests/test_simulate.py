@@ -294,24 +294,26 @@ class TestGenerateScene:
             (obj, frame) for obj in range(1, len(spec.objects) + 1)
             for frame in range(1, spec.num_frames + 1)
         ]
-        assert all(box == boxes[obj][frame] for obj, frame, box in calls)
-        assert sum(map(len, boxes.values())) == len(calls)
+        assert sorted(boxes) == list(range(1, len(spec.objects) + 1))
+        # A frame whose mask is empty has no entry; every other frame has its box.
+        assert all(box == boxes[obj].get(frame) for obj, frame, box in calls)
+        assert sum(map(len, boxes.values())) == sum(box is not None for *_, box in calls)
 
     def test_translation_advances_box(self):
         boxes = _boxes(_moving_scene(dx=2.0, num_frames=5))
         for frame in range(1, 6):
             assert boxes[1][frame] == Box(2 + 2 * (frame - 1), 6, 10, 8)
 
-    def test_object_exits_with_trailing_none(self):
-        boxes = list(_boxes(_moving_scene(dx=12.0, num_frames=8))[1].values())
-        assert boxes[0] is not None
-        assert boxes[-1] is None
-        seen_none = False
-        for box in boxes:
-            if box is None:
-                seen_none = True
-            else:
-                assert not seen_none  # once gone, the object stays gone
+    def test_object_exits_leaving_a_prefix_of_frames(self):
+        # x = 2, 14, 26, 38 in a 48-pixel-wide image, then 50 and on: gone.
+        empty = []
+        track = generate_scene(
+            _moving_scene(dx=12.0, num_frames=8),
+            lambda obj, frame, mask: empty.append(frame) if not mask.any() else None,
+        )[1]
+        assert list(track) == [1, 2, 3, 4]
+        assert track[4] == Box(38, 6, 10, 8)
+        assert empty == [5, 6, 7, 8]  # each still goes to the sink
 
     def test_size_above_the_mask_cap_rejected(self):
         # One pixel row more than 16384 x 16384, the cap; nothing is rendered.
