@@ -19,6 +19,7 @@ import os
 import shutil
 import sys
 import tempfile
+from collections.abc import Mapping
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -204,16 +205,50 @@ def _eval_masks(args):
     return reports
 
 
+class _MaskFiles(Mapping):
+    """``{frame: mask}`` over ``{frame: path}``: each access decodes the file.
+
+    A decode error leaves as a ``_MaskFileError``, which ``located`` passes
+    unchanged, since its message already names the file.
+    """
+
+    def __init__(self, files):
+        self._files = files
+
+    def __getitem__(self, frame):
+        try:
+            return read_mask(self._files[frame])
+        except ValueError as exc:
+            raise _MaskFileError(exc) from None
+
+    def __iter__(self):
+        return iter(self._files)
+
+    def __len__(self):
+        return len(self._files)
+
+
+class _MaskFileError(Exception):
+    """A mask file's ValueError, carried past ``located``."""
+
+
 def _eval_mask_key(args, key, pred_files, gt_files):
-    """One key's report, or None without ground truth; its masks are dropped on return."""
-    pred_frames = {frame: read_mask(path) for frame, path in pred_files.items()}
-    gt_frames = {frame: read_mask(path) for frame, path in gt_files.items()}
-    if not gt_frames:
+    """One key's report, or None without ground truth.
+
+    ``evaluate_masks`` decodes each scored frame as it reaches it, so at most
+    two frames of each tree are held; the predicted frames that no ground
+    truth uses are decoded first, and dropped.
+    """
+    for frame in sorted(pred_files.keys() - gt_files.keys()):
+        read_mask(pred_files[frame])
+    if not gt_files:
         return None
-    with located(f"{args.pred_masks} vs {args.gt_masks}: {key[0]}/{key[1]}"):
-        report = metrics.evaluate_masks(
-            {f: pred_frames[f] for f in gt_frames}, gt_frames, tolerance=args.f_tol
-        )
+    pred = _MaskFiles({frame: pred_files[frame] for frame in gt_files})
+    try:
+        with located(f"{args.pred_masks} vs {args.gt_masks}: {key[0]}/{key[1]}"):
+            report = metrics.evaluate_masks(pred, _MaskFiles(gt_files), tolerance=args.f_tol)
+    except _MaskFileError as exc:
+        raise exc.args[0] from None
     return {name: round4(getattr(report, name)) for name in _MASK_METRICS}
 
 
@@ -309,13 +344,12 @@ def cmd_simulate(args) -> int:
         def write_scene_mask(query, frame, mask):
             name = f"{frame:05d}{extension}"
             first, *others = (mask_dir / name for mask_dir in mask_dirs[query])
-            data = write_mask(first, mask)
-            digests[first] = digest = hashlib.sha256(data).hexdigest()
+            digests[first] = digest = write_mask(first, mask)
             for path in others:
                 try:
                     os.link(first, path)
                 except OSError:
-                    path.write_bytes(data)
+                    shutil.copyfile(first, path)
                 digests[path] = digest
 
         with located(args.scene):

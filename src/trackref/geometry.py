@@ -10,12 +10,14 @@ Conventions used throughout the package:
   pixel belongs to a box when its center lies inside the half-open region.
 * Each mask codec is a text pair, ``pbm_dumps``/``pbm_loads`` and
   ``rle_dumps``/``rle_loads``; ``write_mask`` and ``read_mask`` pick one by
-  file extension.
+  file extension.  ``write_mask`` hashes the bytes as it writes them and
+  returns their digest, so no caller reads a mask file back.
 * All functions are pure; none mutates its inputs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from dataclasses import dataclass
@@ -380,18 +382,24 @@ def rle_loads(text: str) -> Mask:
     return np.repeat(values, runs).reshape(height, width)
 
 
-def _pbm_bytes(mask: Mask) -> bytes:
-    """ASCII PBM bytes: magic P1, then width/height, then one row of bits per line."""
+def _pbm_parts(mask: Mask) -> tuple[bytes, np.ndarray]:
+    """ASCII PBM as its header (magic P1, then width and height) and its payload.
+
+    The payload is one little-endian 16-bit word per pixel, ``"0 "`` or
+    ``"1 "``, and ``"0\\n"`` or ``"1\\n"`` in the last column: one row of
+    bits per line, encoded in a single array the size of the file.
+    """
     height, width = mask.shape
-    spaced = np.full((height, 2 * width), ord(" "), dtype=np.uint8)
-    np.add(mask, ord("0"), out=spaced[:, ::2], dtype=np.uint8)
-    spaced[:, -1] = ord("\n")
-    return b"P1\n%d %d\n" % (width, height) + spaced.tobytes()
+    words = mask.astype("<u2")
+    words += 0x2030  # b"0 " + the bit
+    words[:, -1] ^= 0x2A00  # b" " ^ b"\n"
+    return b"P1\n%d %d\n" % (width, height), words
 
 
 def pbm_dumps(mask: Mask) -> str:
     """Serialize a mask as ASCII PBM text (the bytes ``write_mask`` writes)."""
-    return _pbm_bytes(mask).decode("ascii")
+    header, words = _pbm_parts(mask)
+    return (header + words.tobytes()).decode("ascii")
 
 
 # Whitespace is what ``str.split`` splits on; in ASCII that includes
@@ -445,18 +453,26 @@ def pbm_loads(text: str) -> Mask:
     return _pbm_parse(text.encode("ascii"))
 
 
-def write_mask(path, mask: Mask) -> bytes:
-    """Write a mask file, format chosen by extension (.pbm or .rle); return its bytes."""
+def write_mask(path, mask: Mask) -> str:
+    """Write a mask file, format chosen by extension (.pbm or .rle); return
+    the SHA-256 hex digest of its bytes.
+
+    A PBM file's header and payload are written and hashed in turn, so no
+    copy of the whole file is made.
+    """
     path = str(path)
     if path.endswith(".pbm"):
-        data = _pbm_bytes(mask)
+        parts = _pbm_parts(mask)
     elif path.endswith(".rle"):
-        data = (rle_dumps(mask) + "\n").encode("ascii")
+        parts = ((rle_dumps(mask) + "\n").encode("ascii"),)
     else:
         raise ValueError(f"unsupported mask file extension: {path}")
+    digest = hashlib.sha256()
     with open(path, "wb") as handle:
-        handle.write(data)
-    return data
+        for part in parts:
+            handle.write(part)
+            digest.update(part)
+    return digest.hexdigest()
 
 
 def read_mask(path) -> Mask:

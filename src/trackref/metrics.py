@@ -216,45 +216,53 @@ def _round_half_up(value: float) -> int:
     return int(math.floor(value + 0.5))
 
 
+def _dissimilarity(a, b, shape: tuple[int, int]) -> float:
+    """One minus the IoU of two ``_object``s of ``shape``-sized masks, once
+    ``a`` is shifted by the integer step that best aligns the centroids.
+
+    Content shifted out of the frame is lost.  Exactly one empty mask gives
+    1, two give 0.  The overlap is counted on the shifted crops, so the IoU
+    is the full-frame one, integer counts and all.
+    """
+    if a is None or b is None:
+        return 0.0 if a is b else 1.0
+    height, width = shape
+    top_a, left_a, crop_a, count_a, (r0, c0) = a
+    top_b, left_b, crop_b, count_b, (r1, c1) = b
+    top_a += _round_half_up(r1 - r0)
+    left_a += _round_half_up(c1 - c0)
+    kept = crop_a[max(0, -top_a):max(0, height - top_a),
+                  max(0, -left_a):max(0, width - left_a)]
+    if kept.shape != crop_a.shape:
+        count_a = np.count_nonzero(kept)
+    # b's crop lies inside the frame, so the overlap of the two boxes does.
+    r_lo, r_hi = max(top_a, top_b), min(top_a + crop_a.shape[0], top_b + crop_b.shape[0])
+    c_lo, c_hi = max(left_a, left_b), min(left_a + crop_a.shape[1], left_b + crop_b.shape[1])
+    inter = 0
+    if r_lo < r_hi and c_lo < c_hi:
+        inter = np.count_nonzero(
+            crop_a[r_lo - top_a:r_hi - top_a, c_lo - left_a:c_hi - left_a]
+            & crop_b[r_lo - top_b:r_hi - top_b, c_lo - left_b:c_hi - left_b]
+        )
+    return 1.0 - inter / (count_a + count_b - inter)
+
+
 def temporal_stability_proxy(masks: Sequence[Mask]) -> float:
     """Mean centroid-aligned dissimilarity of consecutive mask pairs.
 
     Each mask is translated so set-pixel centroids coincide (integer shift)
-    before comparing, which cancels pure translation; content shifted out of
-    the frame is lost.  A pair with exactly one empty mask contributes 1;
-    two empty masks contribute 0.  Each mask's crop, pixel count and
-    centroid are found once, and a pair's overlap is counted on the shifted
-    crops, so the IoU is the full-frame one, integer counts and all.
+    before comparing, which cancels pure translation.  Each mask's crop,
+    pixel count and centroid are found once.  ``evaluate_masks`` computes
+    the same mean as it walks the frames, without calling this function.
     """
     if len(masks) < 2:
         raise ValueError("temporal stability needs at least two frames")
     objects = [_object(mask) for mask in masks]
     contributions = []
     for current, following, a, b in zip(masks, masks[1:], objects, objects[1:]):
-        if a is None or b is None:
-            contributions.append(0.0 if a is b else 1.0)
-            continue
-        if current.shape != following.shape:
+        if a is not None and b is not None and current.shape != following.shape:
             raise ValueError(f"mask dimensions differ: {current.shape} vs {following.shape}")
-        height, width = following.shape
-        top_a, left_a, crop_a, count_a, (r0, c0) = a
-        top_b, left_b, crop_b, count_b, (r1, c1) = b
-        top_a += _round_half_up(r1 - r0)
-        left_a += _round_half_up(c1 - c0)
-        kept = crop_a[max(0, -top_a):max(0, height - top_a),
-                      max(0, -left_a):max(0, width - left_a)]
-        if kept.shape != crop_a.shape:
-            count_a = np.count_nonzero(kept)
-        # b's crop lies inside the frame, so the overlap of the two boxes does.
-        r_lo, r_hi = max(top_a, top_b), min(top_a + crop_a.shape[0], top_b + crop_b.shape[0])
-        c_lo, c_hi = max(left_a, left_b), min(left_a + crop_a.shape[1], left_b + crop_b.shape[1])
-        inter = 0
-        if r_lo < r_hi and c_lo < c_hi:
-            inter = np.count_nonzero(
-                crop_a[r_lo - top_a:r_hi - top_a, c_lo - left_a:c_hi - left_a]
-                & crop_b[r_lo - top_b:r_hi - top_b, c_lo - left_b:c_hi - left_b]
-            )
-        contributions.append(1.0 - inter / (count_a + count_b - inter))
+        contributions.append(_dissimilarity(a, b, following.shape))
     return fmean(contributions)
 
 
@@ -265,9 +273,13 @@ def evaluate_masks(
 ) -> EvalReport:
     """Full per-query mask evaluation over aligned frame sets.
 
-    Every mask must have the same size.  Whole masks go to ``mask_iou`` and
-    ``boundary_f``, and each crops the pair to the union of their bboxes;
-    ``boundary_f`` takes its default tolerance from the frame size.
+    Every mask must have the same size.  The frames are walked once in
+    order, and each frame's masks are looked up once, so a mapping that
+    decodes on access holds two frames of each side: the current one, and
+    the previous prediction for the temporal proxy.  Whole masks go to
+    ``mask_iou`` and ``boundary_f``, and each crops the pair to the union of
+    their bboxes; ``boundary_f`` takes its default tolerance from the frame
+    size.
     """
     if set(pred) != set(gt):
         missing = sorted(set(gt) - set(pred))
@@ -277,26 +289,26 @@ def evaluate_masks(
         )
     if not pred:
         raise ValueError("no frames to evaluate")
-    frames = sorted(pred)
-    for f in frames:
-        if pred[f].shape != gt[f].shape:
+    j_series, f_series, t_series = [], [], []
+    previous = None  # (frame, shape, object) of the previous prediction
+    for f in sorted(pred):
+        p, g = pred[f], gt[f]
+        if p.shape != g.shape:
+            raise ValueError(f"mask dimensions differ at frame {f}: {p.shape} vs {g.shape}")
+        if previous is not None and p.shape != previous[1]:
             raise ValueError(
-                f"mask dimensions differ at frame {f}: {pred[f].shape} vs {gt[f].shape}"
+                f"mask size changes between frames {previous[0]} and {f}: "
+                f"{previous[1]} vs {p.shape}"
             )
-    for previous, f in zip(frames, frames[1:]):
-        if pred[f].shape != pred[previous].shape:
-            raise ValueError(
-                f"mask size changes between frames {previous} and {f}: "
-                f"{pred[previous].shape} vs {pred[f].shape}"
-            )
-    j_series = [mask_iou(pred[f], gt[f]) for f in frames]
-    f_series = [boundary_f(pred[f], gt[f], tolerance) for f in frames]
+        j_series.append(mask_iou(p, g))
+        f_series.append(boundary_f(p, g, tolerance))
+        current = _object(p)
+        if previous is not None:
+            t_series.append(_dissimilarity(previous[2], current, p.shape))
+        previous = f, p.shape, current
     j_stats = series_stats(j_series)
     f_stats = series_stats(f_series)
-    if len(frames) >= 2:
-        t_proxy = temporal_stability_proxy([pred[f] for f in frames])
-    else:
-        t_proxy = 0.0  # a single frame cannot jitter
+    t_proxy = fmean(t_series) if t_series else 0.0  # a single frame cannot jitter
     return EvalReport(
         j_mean=j_stats.mean, j_recall=j_stats.recall, j_decay=j_stats.decay,
         f_mean=f_stats.mean, f_recall=f_stats.recall, f_decay=f_stats.decay,

@@ -204,7 +204,7 @@ def parse_corruption_spec(text: str, path: str = "<corruption spec>") -> Corrupt
 # Data-preparation operations
 # ---------------------------------------------------------------------------
 
-JITTER_RETRIES = 10  # draws tried before jitter_box forces the minimum-size box
+JITTER_RETRIES = 10  # draws tried before jitter_box falls back to the clamped box
 
 
 def jitter_box(
@@ -215,8 +215,9 @@ def jitter_box(
     The two x-edges move independently by at most ``fraction * w`` and the
     two y-edges by at most ``fraction * h``; the result is clamped into the
     image.  Draws producing a side of one pixel or less are retried up to
-    ``JITTER_RETRIES`` times, after which the box is forced to the minimum
-    size.  ``fraction`` must be finite and >= 0.
+    ``JITTER_RETRIES`` times, after which the input box clamped into the
+    image is returned, a side under one pixel widened to one pixel inside
+    the image.  ``fraction`` must be finite and >= 0.
     """
     return Box(*_jittered(box, fraction, rng, image_width, image_height))
 
@@ -234,9 +235,20 @@ def _jittered(box, fraction, rng, image_width, image_height):
         y0, y1 = max(y0, 0.0), min(y1, image_height)
         if x1 - x0 > 1.0 and y1 - y0 > 1.0:
             return x0, y0, x1 - x0, y1 - y0
-    x0 = min(max(box.x, 0.0), max(image_width - 1.0, 0.0))
-    y0 = min(max(box.y, 0.0), max(image_height - 1.0, 0.0))
-    return x0, y0, min(1.0, image_width - x0), min(1.0, image_height - y0)
+    x0, w = _clamped_side(box.x, box.w, image_width)
+    y0, h = _clamped_side(box.y, box.h, image_height)
+    return x0, y0, w, h
+
+
+def _clamped_side(start, size, limit):
+    """Start and length of ``[start, start + size)`` clamped into ``[0, limit]``;
+    one shorter than a pixel is widened to one pixel inside it, or to all of
+    it when the image is narrower."""
+    lo, hi = min(max(start, 0.0), limit), min(max(start + size, 0.0), limit)
+    if hi - lo < 1.0:
+        lo = min(lo, max(limit - 1.0, 0.0))
+        hi = min(lo + 1.0, limit)
+    return lo, hi - lo
 
 
 def synth_flow(

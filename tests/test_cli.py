@@ -9,8 +9,11 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import weakref
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1160,9 +1163,12 @@ class TestSimulateCommand:
         monkeypatch.setattr(os, "link", no_hard_links)
         assert self._simulate(scene, corrupt, copied, *args) == 0
         assert tree_bytes(copied) == tree_bytes(linked)
-        masks = list((copied / "masks").rglob(f"*.{mask_format}"))
-        assert len(masks) == 18
-        assert all(p.stat().st_nlink == 1 for p in masks)
+        lines = (copied / "MANIFEST.txt").read_text().splitlines()
+        assert len(lines) == 3 * 6 + 2  # three scenes' masks, gt_boxes and proposals
+        for line in lines:
+            digest, relative = line.split("  ")
+            assert digest == hashlib.sha256((copied / relative).read_bytes()).hexdigest()
+            assert (copied / relative).stat().st_nlink == 1
 
     def test_directory_at_a_mask_path_is_a_data_error(self, tmp_path, capsys):
         scene, corrupt = self._specs(tmp_path)
@@ -1283,20 +1289,22 @@ class TestOracleAndPipeline:
             }
             gt = read_tracks(sim / "gt_boxes.jsonl")
             assert {(query, frame) for (_, query), track in gt.items() for frame in track} == seen
-            # An object cut to a sliver at the image edge has a side of 1 px,
-            # and jitter_box forces such a box to 1 x 1 even at fraction 0, so
-            # there the target proposal, and what the oracle picks, may differ.
-            slivers = {(key, frame) for key, track in gt.items()
-                       for frame, box in track.items() if min(box.w, box.h) <= 1}
-            if not slivers:
-                assert ((oracle / "tracks.jsonl").read_bytes()
-                        == (sim / "gt_boxes.jsonl").read_bytes())
-            picked = read_tracks(oracle / "tracks.jsonl")
-            assert {key: list(track) for key, track in picked.items()} == {
-                key: list(track) for key, track in gt.items()}
-            for key, track in gt.items():
-                for frame, box in track.items():
-                    assert (key, frame) in slivers or picked[key][frame] == box
+            assert (oracle / "tracks.jsonl").read_bytes() == (sim / "gt_boxes.jsonl").read_bytes()
+
+    def test_oracle_on_clean_proposals_of_a_sliver_is_the_ground_truth(self, tmp_path):
+        # Frame 2 cuts the object to a 2 x 1 sliver at the top edge.
+        scene, corrupt = tmp_path / "scene.txt", tmp_path / "corrupt.txt"
+        scene.write_text("width = 8\nheight = 8\nnum_frames = 2\n"
+                         "object1.box = 0 0 2 2\nobject1.motion = 1 0 0 0 1 -0.5\n")
+        corrupt.write_text(CLEAN_CORRUPTION)
+        sim, oracle = tmp_path / "sim", tmp_path / "oracle"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--scene", str(scene), "--corrupt", str(corrupt),
+                         "--out", str(sim)]) == 0
+        assert main(["oracle", "--proposals", str(sim / "proposals.jsonl"),
+                     "--gt-boxes", str(sim / "gt_boxes.jsonl"), "--out", str(oracle)]) == 0
+        assert read_tracks(sim / "gt_boxes.jsonl")[("scene_000", "1")][2] == Box(0, 0, 2, 1)
+        assert (oracle / "tracks.jsonl").read_bytes() == (sim / "gt_boxes.jsonl").read_bytes()
 
     def test_oracle_grounding_assigns_best_overlap(self, tmp_path):
         proposals = tmp_path / "proposals.jsonl"
@@ -1722,7 +1730,7 @@ def traced_peak(argv):
 
 
 class TestMemory:
-    """``simulate`` holds one mask at a time, and ``eval`` one key's masks.
+    """``simulate`` holds one mask at a time, and ``eval`` two frames of each tree.
 
     Each pair of runs follows an untraced warm-up run, so that one-time
     allocations count in neither.  The masks are 256x256, one byte a pixel.
@@ -1762,6 +1770,36 @@ class TestMemory:
             assert main(argv(1, "warm-up")) == 0
         one, four = traced_peak(argv(1, "one")), traced_peak(argv(4, "four"))
         assert abs(four - one) < 2 * 10 * self.MASK_BYTES  # one key's masks in both trees
+
+
+    def test_eval_holds_at_most_two_frames_of_each_tree(self, tmp_path, monkeypatch):
+        # Each decoded array, or the array owning its memory, is counted from
+        # read_mask's return until it is freed: the parent held all 12 frames.
+        mask = rasterize_box(Box(8, 8, 64, 64), 256, 256)
+        for tree in ("pred", "gt"):
+            write_mask_tree(tmp_path / tree, ("v", "1"), range(1, 13), mask)
+        alive, peak = Counter(), Counter()
+
+        def freed(tree):
+            alive[tree] -= 1
+
+        def tracked_read_mask(path):
+            decoded = read_mask(path)
+            owner = decoded
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            tree = Path(path).relative_to(tmp_path).parts[0]
+            alive[tree] += 1
+            peak[tree] = max(peak[tree], alive[tree])
+            weakref.finalize(owner, freed, tree)
+            return decoded
+
+        monkeypatch.setattr(trackref.cli, "read_mask", tracked_read_mask)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["eval", "--pred-masks", str(tmp_path / "pred"),
+                         "--gt-masks", str(tmp_path / "gt")]) == 0
+        assert peak == {"pred": 2, "gt": 2}
+        assert alive == {"pred": 0, "gt": 0}
 
 
 class TestUsageErrors:

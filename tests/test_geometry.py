@@ -1,5 +1,8 @@
+import hashlib
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,15 +353,27 @@ class TestMaskFiles:
         write_mask(path, mask)
         assert np.array_equal(read_mask(path), mask)
 
-    @pytest.mark.parametrize("extension", [".pbm", ".rle"])
-    def test_write_returns_the_bytes_written(self, tmp_path, extension):
-        mask = np.random.RandomState(5).rand(6, 9) > 0.5
-        path = tmp_path / f"mask{extension}"
-        data = write_mask(path, mask)
-        assert isinstance(data, bytes)
-        assert data == path.read_bytes()
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(lambda h: st.integers(1, 9).flatmap(lambda w: st.lists(
+            st.booleans(), min_size=h * w, max_size=h * w).map(
+                lambda bits: np.array(bits, dtype=bool).reshape(h, w)))),
+        st.sampled_from([".pbm", ".rle"]),
+    )
+    def test_write_returns_the_digest_of_the_file(self, mask, extension):
+        # A PBM file is its header and one "0"/"1" per pixel, a space after
+        # each but the last of a row, which ends in a newline.
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / f"mask{extension}"
+            digest = write_mask(path, mask)
+            data = path.read_bytes()
+        assert digest == hashlib.sha256(data).hexdigest()
         if extension == ".pbm":
+            rows = "".join(" ".join("01"[bit] for bit in row) + "\n" for row in mask.tolist())
+            assert data == f"P1\n{mask.shape[1]} {mask.shape[0]}\n{rows}".encode("ascii")
             assert data.decode("ascii") == pbm_dumps(mask)
+        else:
+            assert data == (rle_dumps(mask) + "\n").encode("ascii")
 
     def test_unsupported_extension(self, tmp_path):
         with pytest.raises(ValueError, match="extension"):

@@ -1,6 +1,9 @@
 import math
 import re
 import time
+from collections import Counter
+from collections.abc import Mapping
+from dataclasses import astuple
 from statistics import fmean, mean
 
 import numpy as np
@@ -8,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trackref.geometry import Box, box_iou, empty_mask, mask_iou, rasterize_box
+from trackref.geometry import (
+    Box, box_iou, empty_mask, mask_iou, pbm_dumps, pbm_loads, rasterize_box,
+)
 from trackref.metrics import (
     QueryAttributes,
     SeriesStats,
@@ -332,6 +337,71 @@ class TestEvaluateMasks:
             r"^mask size changes between frames 2 and 3: \(4, 6\) vs \(8, 6\)$"
         )):
             evaluate_masks(masks, dict(masks))
+
+
+class _Decoding(Mapping):
+    """Masks stored as PBM text; each access decodes a new array, and is counted."""
+
+    def __init__(self, masks):
+        self._texts = {frame: pbm_dumps(mask) for frame, mask in masks.items()}
+        self.reads = Counter()
+
+    def __getitem__(self, frame):
+        self.reads[frame] += 1
+        return pbm_loads(self._texts[frame])
+
+    def __iter__(self):
+        return iter(self._texts)
+
+    def __len__(self):
+        return len(self._texts)
+
+
+@st.composite
+def mask_keys(draw):
+    """``(pred, gt)`` frame dicts of one key: 1-5 frames, some masks empty, and
+    at times one frame of both sides at another size."""
+    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    frames = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True))
+    resized = draw(st.sampled_from([None, *frames]))
+
+    def mask(frame):
+        shape = (height + 1, width) if frame == resized else (height, width)
+        kind = draw(st.sampled_from(["empty", "full", "bits"]))
+        if kind != "bits":
+            return np.full(shape, kind == "full")
+        bits = draw(st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                             max_size=shape[0] * shape[1]))
+        return np.array(bits, dtype=bool).reshape(shape)
+
+    return {f: mask(f) for f in frames}, {f: mask(f) for f in frames}
+
+
+def _outcome(pred, gt):
+    try:
+        return repr(astuple(evaluate_masks(pred, gt)))  # repr tells -0.0 from 0.0
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_keys())
+def test_evaluate_masks_over_decoding_mappings_equals_over_dicts(key):
+    pred, gt = key
+    lazy_pred, lazy_gt = _Decoding(pred), _Decoding(gt)
+    outcome = _outcome(lazy_pred, lazy_gt)
+    assert outcome == _outcome(pred, gt)
+    if not outcome.startswith("ValueError"):
+        assert set(lazy_pred.reads.values()) == set(lazy_gt.reads.values()) == {1}
+        frames = sorted(gt)
+        ordered = [pred[f] for f in frames]
+        expected = (
+            [mask_iou(pred[f], gt[f]) for f in frames],
+            [boundary_f(pred[f], gt[f]) for f in frames],
+            temporal_stability_proxy(ordered) if len(frames) > 1 else 0.0,
+        )
+        report = evaluate_masks(pred, gt)
+        assert (list(report.j_series), list(report.f_series), report.t_proxy) == expected
 
 
 class TestAucSuccess:

@@ -135,11 +135,23 @@ class TestJitterBox:
 
     def test_box_wider_than_image_allows_falls_back_to_minimum_size(self):
         # No draw leaves a side over one pixel in a 1.5-pixel-wide image, so
-        # every retry fails and the box is forced to 1 x 1 inside the image.
+        # every retry fails: the box is clamped into the image, and its side
+        # of 0 px there is widened to 1 px inside it.
         root = SplitRng(5, "fallback")
         for draw in range(20):
             out = jitter_box(Box(3.0, 2.0, 10.0, 10.0), 0.1, root.child(draw), 1.5, 8.0)
-            assert out == Box(0.5, 2.0, 1.0, 1.0)
+            assert out == Box(0.5, 2.0, 1.0, 6.0)
+
+    @pytest.mark.parametrize("box, expected", [
+        (Box(0, 0, 2, 1), Box(0, 0, 2, 1)),  # a 1 px sliver stays as it is
+        (Box(3, -0.5, 4, 1), Box(3, 0, 4, 1)),  # 0.5 px inside: widened to 1 px
+        (Box(7.5, 7.8, 3, 0.1), Box(7, 7, 1, 1)),  # widened inside the image
+        (Box(-9, 20, 2, 2), Box(0, 7, 1, 1)),  # wholly outside: 1 px at the edge
+    ])
+    def test_a_side_of_one_pixel_or_less_at_fraction_zero(self, box, expected):
+        # Every draw leaves such a side at 1 px or less, so every retry fails.
+        for draw in range(5):
+            assert jitter_box(box, 0.0, SplitRng(9).child(draw), 8, 8) == expected
 
 
 class TestSynthFlow:
