@@ -13,7 +13,6 @@ simulate) is accepted for compatibility and has no effect.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import shutil
@@ -328,6 +327,8 @@ def _read_spec(parse, path):
 def cmd_simulate(args) -> int:
     spec = _read_spec(simulate.parse_scene_spec, args.scene)
     corruption = _read_spec(simulate.parse_corruption_spec, args.corrupt)
+    with located(f"{args.scene} and {args.corrupt}"):
+        simulate.check_proposal_rows(spec, corruption, args.scenes)
     videos = [f"scene_{index:03d}" for index in range(args.scenes)]
     extension = ".pbm" if args.mask_format == "pbm" else ".rle"
     with _output(args.out) as out:
@@ -362,10 +363,9 @@ def cmd_simulate(args) -> int:
                 all_proposals[(video, query)] = vp
                 # Every scene shares the ground truth: one read-only track per query.
                 all_tracks[(video, query)] = boxes[int(query)]
-        rerank.write_tracks(out / "gt_boxes.jsonl", all_tracks)
-        rerank.write_proposals(out / "proposals.jsonl", all_proposals)
-        for path in (out / "gt_boxes.jsonl", out / "proposals.jsonl"):
-            digests[path] = hashlib.sha256(path.read_bytes()).hexdigest()
+        digests[out / "gt_boxes.jsonl"] = rerank.write_tracks(out / "gt_boxes.jsonl", all_tracks)
+        digests[out / "proposals.jsonl"] = rerank.write_proposals(
+            out / "proposals.jsonl", all_proposals)
 
         manifest_lines = [f"{digests[path]}  {path.relative_to(out)}" for path in sorted(digests)]
         manifest = "\n".join(manifest_lines) + "\n"

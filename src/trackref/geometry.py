@@ -52,6 +52,8 @@ class Box:
     h: float
 
     def __post_init__(self):
+        # ``rerank._rows_valid`` states these rules for whole columns of boxes;
+        # change it with them.
         for name in ("x", "y", "w", "h"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"box field {name} is not finite")

@@ -22,7 +22,7 @@ import trackref
 
 from trackref.cli import main
 from trackref.geometry import Box, rasterize_box, read_mask, write_mask
-from trackref.rerank import read_tracks, write_tracks
+from trackref.rerank import read_proposals, read_tracks, write_proposals, write_tracks
 
 TOY_PROPOSALS = [
     {"video": "vid", "query": "q", "frame": 1, "x": 0, "y": 0, "w": 10, "h": 10,
@@ -283,6 +283,23 @@ class TestRerankCommand:
         scores = [json.loads(line) for line in (out / "scores.jsonl").read_text().splitlines()]
         assert len(scores) == 4
         assert all("new_score" in record for record in scores)
+
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_proposals_from_a_pipe(self, tmp_path, toy_proposals_file, compact):
+        """A pipe is read once, by the strict reader, in either form."""
+        proposals = tmp_path / "written.jsonl"
+        write_proposals(proposals, read_proposals(toy_proposals_file)[0])
+        content = proposals.read_text()
+        if compact:
+            content = content.replace(', "', ',"')
+        done = run_with_src(["-m", "trackref", "rerank", "--proposals", "/dev/stdin",
+                             "--out", str(tmp_path / "piped")], input=content)
+        assert done.returncode == 0, done.stderr
+        assert main(["rerank", "--proposals", str(proposals), "--out",
+                     str(tmp_path / "file")]) == 0
+        for name in ("tracks.jsonl", "scores.jsonl"):
+            assert (tmp_path / "piped" / name).read_bytes() == (
+                tmp_path / "file" / name).read_bytes()
 
     @settings(max_examples=60, deadline=None)
     @given(lines=proposal_lines(),
@@ -967,6 +984,28 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.err == (
             f"error: {scene}: mask size 100000x100000 exceeds the limit of 268435456 pixels\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frames, distractors, scenes", [
+        (10**12, 0, 1),
+        (2**18 + 1, 1, 2),  # two objects: 2**18 frames would be the cap itself
+    ])
+    def test_proposal_rows_above_the_cap_are_a_data_error(self, tmp_path, capsys, frames,
+                                                          distractors, scenes):
+        scene, corrupt = self._specs(tmp_path, CLEAN_CORRUPTION.replace(
+            "distractors_per_frame = 0", f"distractors_per_frame = {distractors}"))
+        scene.write_text(SCENE_SPEC.replace("num_frames = 6", f"num_frames = {frames}")
+                         + "object2.box = 20 6 10 8\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--scene", str(scene), "--corrupt", str(corrupt),
+                     "--out", str(out), "--scenes", str(scenes)]) == 2
+        rows = frames * (1 + distractors) * 2 * scenes
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {scene} and {corrupt}: {rows} proposal rows (frames x (1 + "
+            "distractors) x objects x scenes) exceed the limit of 2097152\n"
         )
         assert captured.out == ""
         assert not out.exists()

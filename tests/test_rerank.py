@@ -1,6 +1,9 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -446,3 +449,74 @@ class TestJsonl:
         path.write_text(line + "\n" + line + "\n")
         with pytest.raises(ValueError, match="duplicate frame"):
             read_tracks(path)
+
+
+@st.composite
+def written_tables(draw):
+    """A table of up to 60 frames x 30 proposals drawn from a seed, with
+    ``window`` and ``top_k`` each on in about half the examples."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames, width = draw(st.integers(1, 60)), draw(st.integers(1, 30))
+    frame_ids = np.sort(rng.choice(np.arange(1, 3 * frames + 1), frames, replace=False))
+    counts = rng.integers(1, width + 1, frames)
+    ids = np.concatenate([np.sort(rng.choice(3 * width, count, replace=False))
+                          for count in counts])
+    rows = len(ids)
+    vp = VideoProposals(
+        frame_ids.tolist(), np.repeat(np.arange(frames), counts), ids.tolist(),
+        np.column_stack((rng.uniform(0, 200, (rows, 2)), rng.uniform(5, 80, (rows, 2)))),
+        rng.uniform(0, 1, rows), rng.uniform(0.5, 1, rows),
+    )
+    window = draw(st.integers(1, 8)) if draw(st.booleans()) else None
+    top_k = draw(st.integers(1, width)) if draw(st.booleans()) else None
+    return vp, window, top_k
+
+
+class TestInvariancesThroughFiles:
+    """Re-rank invariances that hold bit for bit, on tables written with
+    ``write_proposals`` and read back with ``read_proposals``'s bulk path."""
+
+    SHIFT = 10**6
+
+    @staticmethod
+    def _through_file(directory, name, vp):
+        path = Path(directory) / f"{name}.jsonl"
+        write_proposals(path, {("v", "q"): vp})
+        assert rerank._read_written_proposals(path) is not None
+        return read_proposals(path)[0][("v", "q")]
+
+    @settings(max_examples=12, deadline=None)
+    @given(written_tables())
+    def test_transforms_map_scores_and_selections_exactly(self, drawn):
+        vp, window, top_k = drawn
+        transforms = {
+            "shift": ([frame + self.SHIFT for frame in vp.frame_ids], vp.ids,
+                      vp.boxes, vp.scores, vp.objectness),
+            "scores": (vp.frame_ids, vp.ids, vp.boxes, 2 * vp.scores, vp.objectness),
+            "objectness": (vp.frame_ids, vp.ids, vp.boxes, vp.scores, 2 * vp.objectness),
+            "boxes": (vp.frame_ids, vp.ids, 2 * vp.boxes, vp.scores, vp.objectness),
+            "ids": (vp.frame_ids, [3 * i + 7 for i in vp.ids], vp.boxes, vp.scores,
+                    vp.objectness),
+        }
+        factor = {"scores": 4.0, "objectness": 2.0}
+        with tempfile.TemporaryDirectory() as tmp:
+            base = self._through_file(tmp, "base", vp)
+            scored = rerank_scores(base, window=window, top_k=top_k)
+            track, raw = select_track(scored), raw_select(base)
+            for name, (frame_ids, ids, boxes, scores, objectness) in transforms.items():
+                moved = self._through_file(tmp, name, VideoProposals(
+                    frame_ids, vp.frame_of, ids, boxes, scores, objectness))
+                moved_scored = rerank_scores(moved, window=window, top_k=top_k)
+                expected = factor.get(name, 1.0) * scored.new_score
+                assert moved_scored.new_score.tobytes() == expected.tobytes(), name
+                for chosen, moved_chosen in ((track, select_track(moved_scored)),
+                                             (raw, raw_select(moved))):
+                    assert repr(moved_chosen) == repr(self._mapped(name, chosen)), name
+
+    def _mapped(self, name, track):
+        if name == "shift":
+            return {frame + self.SHIFT: box for frame, box in track.items()}
+        if name == "boxes":
+            return {frame: Box(2 * box.x, 2 * box.y, 2 * box.w, 2 * box.h)
+                    for frame, box in track.items()}
+        return track

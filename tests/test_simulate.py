@@ -14,9 +14,11 @@ from trackref.metrics import track_miou
 from trackref.rerank import Proposal, VideoProposals, raw_select, rerank_scores, select_track
 from trackref.rng import SplitRng
 from trackref.simulate import (
+    MAX_PROPOSAL_ROWS,
     CorruptionSpec,
     ObjectSpec,
     SceneSpec,
+    check_proposal_rows,
     flow_magnitude_image,
     generate_proposals,
     generate_scene,
@@ -380,6 +382,14 @@ class TestGenerateProposals:
         assert set(proposals) == {"1", "2"}
         for vp in proposals.values():
             assert vp.frame_ids == [1, 2, 3, 4]
+
+    def test_the_row_cap_counts_every_frame_distractor_object_and_scene(self):
+        spec = _moving_scene(num_frames=2**15)  # one object
+        check_proposal_rows(spec, CorruptionSpec(7), 8)
+        assert 2**15 * (1 + 7) * 8 == MAX_PROPOSAL_ROWS
+        for corruption, scenes in ((CorruptionSpec(8), 8), (CorruptionSpec(7), 9)):
+            with pytest.raises(ValueError, match=r"^\d+ proposal rows .* exceed the limit"):
+                check_proposal_rows(spec, corruption, scenes)
 
     def test_switched_scores_swap_target_and_distractor(self):
         spec = _static_scene(num_frames=3)
