@@ -329,46 +329,52 @@ def cmd_simulate(args) -> int:
     corruption = _read_spec(simulate.parse_corruption_spec, args.corrupt)
     with located(f"{args.scene} and {args.corrupt}"):
         simulate.check_proposal_rows(spec, corruption, args.scenes)
-    videos = [f"scene_{index:03d}" for index in range(args.scenes)]
+    # In name order, the order write_proposals writes keys in (scene_1000 < scene_101).
+    videos = sorted((f"scene_{index:03d}", index) for index in range(args.scenes))
+    queries = [str(query) for query in range(1, len(spec.objects) + 1)]
     extension = ".pbm" if args.mask_format == "pbm" else ".rle"
     with _output(args.out) as out:
         # Every scene shares the ground-truth masks: each is encoded and hashed
         # once into scene 000's file, and the other scenes' paths are hard links
-        # to it, or copies where the file system has no hard links.
-        mask_dirs = {}
-        for query in range(1, len(spec.objects) + 1):
-            mask_dirs[query] = [out / "masks" / video / str(query) for video in videos]
-            for mask_dir in mask_dirs[query]:
-                mask_dir.mkdir(parents=True)
+        # to it, or copies where the file system has no hard links.  Paths are
+        # strings relative to ``out``.
+        for video, _ in videos:
+            for query in queries:
+                (out / "masks" / video / query).mkdir(parents=True)
         digests = {}
 
         def write_scene_mask(query, frame, mask):
-            name = f"{frame:05d}{extension}"
-            first, *others = (mask_dir / name for mask_dir in mask_dirs[query])
-            digests[first] = digest = write_mask(first, mask)
+            name = f"{query}/{frame:05d}{extension}"
+            first, *others = (f"masks/{video}/{name}" for video, _ in videos)
+            source = f"{out}/{first}"
+            digests[first] = digest = write_mask(source, mask)
             for path in others:
                 try:
-                    os.link(first, path)
+                    os.link(source, f"{out}/{path}")
                 except OSError:
-                    shutil.copyfile(first, path)
+                    shutil.copyfile(source, f"{out}/{path}")
                 digests[path] = digest
 
         with located(args.scene):
             boxes = simulate.generate_scene(spec, write_scene_mask)
-        all_tracks: dict[tuple[str, str], dict[int, Box]] = {}
-        all_proposals: dict[tuple[str, str], rerank.VideoProposals] = {}
-        for index, video in enumerate(videos):
-            rng = SplitRng(corruption.seed, "sweep", args.seed, index)
-            for query, vp in simulate.generate_proposals(spec, boxes, corruption, rng).items():
-                all_proposals[(video, query)] = vp
-                # Every scene shares the ground truth: one read-only track per query.
-                all_tracks[(video, query)] = boxes[int(query)]
-        digests[out / "gt_boxes.jsonl"] = rerank.write_tracks(out / "gt_boxes.jsonl", all_tracks)
-        digests[out / "proposals.jsonl"] = rerank.write_proposals(
-            out / "proposals.jsonl", all_proposals)
+        # Every scene shares the ground truth: one read-only track per query.
+        tracks = {(video, query): boxes[int(query)] for video, _ in videos for query in queries}
+        digests["gt_boxes.jsonl"] = rerank.write_tracks(out / "gt_boxes.jsonl", tracks)
 
-        manifest_lines = [f"{digests[path]}  {path.relative_to(out)}" for path in sorted(digests)]
-        manifest = "\n".join(manifest_lines) + "\n"
+        def scene_tables():
+            # Each scene's tables are drawn when the writer reaches them.
+            for video, index in videos:
+                rng = SplitRng(corruption.seed, "sweep", args.seed, index)
+                tables = simulate.generate_proposals(spec, boxes, corruption, rng)
+                for query in sorted(tables):
+                    yield (video, query), tables[query]
+
+        digests["proposals.jsonl"] = rerank.write_proposals(
+            out / "proposals.jsonl", scene_tables())
+        # Path order: component by component, as pathlib sorts.
+        manifest = "".join(
+            f"{digests[path]}  {path}\n" for path in sorted(digests, key=lambda p: p.split("/"))
+        )
         (out / "MANIFEST.txt").write_text(manifest, encoding="utf-8")
     sys.stdout.write(manifest)
     return 0
@@ -384,11 +390,12 @@ def cmd_jitter(args) -> int:
     jittered: dict[tuple[str, str], dict[int, Box]] = {}
     for key in sorted(tracks):
         entries = jittered[key] = {}
+        # Folding is sequential: child(video, query).child(frame) is child(video, query, frame).
+        key_rng = root.child(*key)
         for frame, box in sorted(tracks[key].items()):
-            rng = root.child(key[0], key[1], frame)
             with located(f"{args.gt_boxes}: {key[0]}/{key[1]}, frame {frame}"):
                 entries[frame] = simulate.jitter_box(
-                    box, args.fraction, rng, args.width, args.height
+                    box, args.fraction, key_rng.child(frame), args.width, args.height
                 )
     with _output(args.out) as out:
         rerank.write_tracks(out / "jittered.jsonl", jittered)

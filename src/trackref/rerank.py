@@ -554,14 +554,22 @@ def _write_hashed(path, lines) -> str:
     return digest.hexdigest()
 
 
-def write_proposals(path, videos: dict[tuple[str, str], VideoProposals]) -> str:
-    """Write every table's rows, keys sorted; return the file's SHA-256 hex digest."""
-    def rows(key):
-        vp = videos[key]
+def write_proposals(path, videos) -> str:
+    """Write every table's rows; return the file's SHA-256 hex digest.
+
+    ``videos`` is a ``{(video, query): table}`` mapping, written in sorted key
+    order, or an iterable of ``(key, table)`` pairs already in that order,
+    each written as it comes, so that a caller can make one table at a time.
+    """
+    if isinstance(videos, Mapping):
+        videos = [(key, videos[key]) for key in sorted(videos)]
+
+    def rows(item):
+        key, vp = item
         return _rows(_PROPOSAL_ROW, *key, vp.row_frames(), *vp.boxes.T.tolist(),
                      vp.scores.tolist(), vp.objectness.tolist(), vp.ids)
 
-    return _write_hashed(path, chain.from_iterable(map(rows, sorted(videos))))
+    return _write_hashed(path, chain.from_iterable(map(rows, videos)))
 
 
 def read_tracks(path) -> dict[tuple[str, str], dict[int, Box]]:

@@ -19,12 +19,15 @@ GOLDEN is the 64-bit golden-ratio constant 0x9E3779B97F4A7C15.  Because every
 draw is a pure function of (key, counter), independent work units can consume
 their own streams in any order without affecting each other.
 
-Batch form: ``rng.child_units(parts, count)`` gives, as one float array, the
-first ``count`` units of every integer child ``rng.child(part)``.  It runs
-the same formulas through ``mix64_array`` on ``np.uint64`` arrays, whose
-arithmetic wraps mod 2^64 like the masked integer version, so every entry is
-bit-identical to the scalar draw.  The scalar ``SplitRng`` stays the
-definition of the stream; the batch form only removes per-draw overhead.
+Batch form: functions over ``np.uint64`` arrays of stream keys run the same
+formulas through ``mix64_array``, whose arithmetic wraps mod 2^64 like the
+masked integer version, so each entry is bit-identical to the scalar one.
+``fold_keys`` and ``fold_children`` fold path parts into keys, ``key_draws``,
+``key_units`` and ``key_randints`` draw from them, and
+``SplitRng.child_keys`` starts an array.  ``box_muller_array`` keeps
+``math.log`` and ``math.cos`` as scalar libm calls, since numpy's own may
+differ in the last bit.  The scalar ``SplitRng`` stays the definition of
+the stream; the batch form only removes per-draw overhead.
 """
 
 from __future__ import annotations
@@ -70,6 +73,14 @@ def box_muller(u1: float, u2: float, mean: float = 0.0, sd: float = 1.0) -> floa
     return mean + sd * radius * math.cos(2.0 * math.pi * u2)
 
 
+def box_muller_array(u1: np.ndarray, u2: np.ndarray, mean: float = 0.0, sd: float = 1.0):
+    """:func:`box_muller` of each pair of units, as a float array."""
+    u1 = np.where(u1 <= 0.0, 2.0 ** -53, u1)
+    log = np.fromiter(map(math.log, u1.tolist()), np.float64, len(u1))
+    cos = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), np.float64, len(u2))
+    return mean + sd * np.sqrt(-2.0 * log) * cos
+
+
 # mix64(byte + GOLDEN) for every byte value: the inner mix of a string fold.
 _BYTE_MIX = tuple(mix64(byte + _GOLDEN) for byte in range(256))
 
@@ -82,6 +93,56 @@ def _fold(key: int, part: int | str) -> int:
             key = mix64(key ^ _BYTE_MIX[byte])
         return key
     return mix64(key ^ mix64((int(part) + _GOLDEN) & _MASK64))
+
+
+def fold_keys(keys: np.ndarray, part: int | str) -> np.ndarray:
+    """The key of ``child(part)`` of each stream keyed by ``keys``."""
+    if isinstance(part, str):
+        data = part.encode("utf-8")
+        keys = mix64_array(keys ^ np.uint64(mix64(len(data) + _GOLDEN)))
+        for byte in data:
+            keys = mix64_array(keys ^ np.uint64(_BYTE_MIX[byte]))
+        return keys
+    return fold_children(keys, [part])[:, 0]
+
+
+def fold_children(keys: np.ndarray, parts) -> np.ndarray:
+    """``(len(keys), len(parts))`` keys: ``[i, j]`` is that of ``child(parts[j])``
+    of the stream keyed by ``keys[i]``, for integer parts."""
+    # Reduced in Python first, so negative and huge parts fold as in _fold.
+    folded = np.array(
+        [(operator.index(p) + _GOLDEN) & _MASK64 for p in parts], dtype=np.uint64
+    )
+    return mix64_array(keys[:, None] ^ mix64_array(folded))
+
+
+def key_draws(keys: np.ndarray, count: int, start: int = 0) -> np.ndarray:
+    """``(len(keys), count)`` u64 draws: ``[i, c]`` is ``next_u64`` number
+    ``start + c + 1`` of the stream keyed by ``keys[i]``."""
+    steps = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return mix64_array(keys[:, None] + steps)
+
+
+def key_units(keys: np.ndarray, count: int, start: int = 0) -> np.ndarray:
+    """:func:`key_draws` as units, each equal to the stream's ``unit()``."""
+    return (key_draws(keys, count, start) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def key_randints(keys: np.ndarray, low: int, high: int) -> np.ndarray:
+    """``randint(low, high)`` of each stream keyed by ``keys``, as ``np.int64``.
+
+    A lane whose first draw is rejected is drawn again by the scalar loop.
+    """
+    if not -(1 << 63) <= low <= high < 1 << 63:
+        raise ValueError(f"integer range [{low}, {high}] is empty or outside int64")
+    span = high - low + 1
+    values = key_draws(keys, 1)[:, 0]
+    offsets = values if span > _MASK64 else values % np.uint64(span)
+    # Wrapping mod 2^64 and reading the bits as int64 gives low + offset exactly.
+    out = (offsets + np.uint64(low & _MASK64)).view(np.int64)
+    for lane in np.flatnonzero(values < np.uint64((1 << 64) % span)).tolist():
+        out[lane] = SplitRng._keyed(int(keys[lane])).randint(low, high)
+    return out
 
 
 class SplitRng:
@@ -100,14 +161,23 @@ class SplitRng:
         self._key = key
         self._count = 0
 
-    def child(self, *path: int | str) -> "SplitRng":
+    @staticmethod
+    def _keyed(key: int) -> "SplitRng":
+        """The stream whose key is ``key``, its counter at 0."""
         rng = SplitRng.__new__(SplitRng)
-        key = self._key
-        for part in path:
-            key = _fold(key, part)
         rng._key = key
         rng._count = 0
         return rng
+
+    def child(self, *path: int | str) -> "SplitRng":
+        key = self._key
+        for part in path:
+            key = _fold(key, part)
+        return SplitRng._keyed(key)
+
+    def child_keys(self, parts) -> np.ndarray:
+        """The keys of ``self.child(p)`` for each integer ``p`` of ``parts``, as ``np.uint64``."""
+        return fold_children(np.array([self._key], dtype=np.uint64), parts)[0]
 
     def child_units(self, parts, count: int) -> np.ndarray:
         """Units of many integer children at once, as a ``(len(parts), count)`` array.
@@ -115,14 +185,7 @@ class SplitRng:
         Entry ``[i, c]`` equals draw ``c + 1`` of ``self.child(parts[i]).unit()``;
         no counter moves.
         """
-        # Reduced in Python first, so negative and huge parts fold as in _fold.
-        folded = np.array(
-            [(operator.index(p) + _GOLDEN) & _MASK64 for p in parts], dtype=np.uint64
-        )
-        keys = mix64_array(np.array([self._key], dtype=np.uint64) ^ mix64_array(folded))
-        steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        draws = mix64_array(keys[:, None] + steps[None, :])
-        return (draws >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        return key_units(self.child_keys(parts), count)
 
     def next_u64(self) -> int:
         self._count += 1

@@ -32,7 +32,9 @@ from .geometry import (
 )
 from .jsonl import located
 from .rerank import VideoProposals
-from .rng import SplitRng, box_muller, scale_unit
+from .rng import (
+    SplitRng, box_muller_array, fold_children, fold_keys, key_randints, key_units, scale_unit,
+)
 
 TARGET_BASE_SCORE = 0.8
 DISTRACTOR_BASE_SCORE = 0.3
@@ -85,9 +87,10 @@ class CorruptionSpec:
             raise ValueError("box_jitter_fraction must be finite and >= 0")
 
 
-# The most proposal rows one ``simulate`` run may draw.  A row costs about 370
-# bytes of memory and 208 bytes of proposals.jsonl (measured over 50,000 to
-# 400,000 rows), so the cap bounds a run near 0.8 GB and a 440 MB file.
+# The most proposal rows one ``simulate`` run may draw.  A row costs 208 bytes
+# of proposals.jsonl and, while its scene is drawn and written, about 320
+# bytes of memory (measured over 50,000 to 400,000 rows in one scene), so the
+# cap bounds a run near 0.7 GB and a 440 MB file.
 MAX_PROPOSAL_ROWS = 1 << 21
 
 
@@ -362,8 +365,36 @@ def generate_scene(spec: SceneSpec, sink) -> dict[int, dict[int, Box]]:
     return boxes
 
 
-def _clamp01(value: float) -> float:
-    return min(max(value, 0.0), 1.0)
+def _jittered_rows(true: np.ndarray, fraction, keys: np.ndarray, image_width, image_height):
+    """:func:`_jittered` of each ``(x, y, w, h)`` row of ``true``, row ``i``
+    drawing from the stream keyed by ``keys[i]``, as column operations.
+
+    Attempt ``a`` reads draws ``4a + 1 .. 4a + 4`` on the rows that every
+    earlier attempt failed; rows that fail them all are clamped.
+    """
+    out = np.empty_like(true)
+    pending = np.arange(len(true))
+    for attempt in range(JITTER_RETRIES):
+        x, y, w, h = true[pending].T
+        ux0, ux1, uy0, uy1 = key_units(keys[pending], 4, 4 * attempt).T
+        x0 = x + scale_unit(ux0, -fraction * w, fraction * w)
+        x1 = x + w + scale_unit(ux1, -fraction * w, fraction * w)
+        y0 = y + scale_unit(uy0, -fraction * h, fraction * h)
+        y1 = y + h + scale_unit(uy1, -fraction * h, fraction * h)
+        # max(v, 0.0) and min(v, limit), with Python's tie rules.
+        x0, x1 = np.where(0.0 > x0, 0.0, x0), np.where(image_width < x1, image_width, x1)
+        y0, y1 = np.where(0.0 > y0, 0.0, y0), np.where(image_height < y1, image_height, y1)
+        done = (x1 - x0 > 1.0) & (y1 - y0 > 1.0)
+        out[pending[done]] = np.stack([x0, y0, x1 - x0, y1 - y0], axis=1)[done]
+        pending = pending[~done]
+        if not len(pending):
+            return out
+    for row in pending.tolist():
+        x, y, w, h = true[row].tolist()
+        x0, w = _clamped_side(x, w, image_width)
+        y0, h = _clamped_side(y, h, image_height)
+        out[row] = x0, y0, w, h
+    return out
 
 
 def _distractor_boxes(units: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -378,6 +409,15 @@ def _distractor_boxes(units: np.ndarray, width: int, height: int) -> np.ndarray:
     x = scale_unit(ux, 0.0, np.maximum(width - w, 0.0))
     y = scale_unit(uy, 0.0, np.maximum(height - h, 0.0))
     return np.stack([x, y, w, h], axis=1)
+
+
+def _noisy_scores(keys: np.ndarray, base: float, noise_sd: float) -> np.ndarray:
+    """``min(max(base + noise, 0.0), 1.0)`` for each stream keyed by ``keys``,
+    with Python's tie rules; the noise is ``normal(0.0, noise_sd)`` of draws 1-2."""
+    u1, u2 = key_units(keys, 2).T
+    scores = base + box_muller_array(u1, u2, 0.0, noise_sd)
+    scores = np.where(0.0 > scores, 0.0, scores)
+    return np.where(1.0 < scores, 1.0, scores)
 
 
 def generate_proposals(
@@ -395,63 +435,62 @@ def generate_proposals(
     ids 1..D.  With probability ``id_switch_prob`` the target's score trades
     places with one distractor's for that frame.  All draws come from streams
     keyed by (seed, object, frame, purpose), so output is reproducible and
-    independent of evaluation order.
+    independent of evaluation order.  Each purpose is drawn for all of an
+    object's frames at once, from an array of the frames' stream keys.
     """
     if rng is None:
         rng = SplitRng(corruption.seed)
-    noise_sd = corruption.score_noise_sd
     count = corruption.distractors_per_frame
-    distractor_ids = range(1, count + 1)
+    frames = range(1, spec.num_frames + 1)
     out: dict[str, VideoProposals] = {}
     for obj_index in sorted(boxes):
-        # Path folding is sequential, so the shared prefixes are folded once:
-        # child("object", i, "frame").child(f) is child("object", i, "frame", f).
-        frames_rng = rng.child("object", obj_index, "frame")
-        frames: list[int] = []
-        sizes: list[int] = []
-        ids: list[int] = []
-        scores: list[float] = []
-        targets: list[tuple] = []
-        units = []
-        for frame in range(1, spec.num_frames + 1):
-            frame_rng = frames_rng.child(frame)
-            first = len(scores)
-            true_box = boxes[obj_index].get(frame)
-            if true_box is not None:
-                targets.append(_jittered(
-                    true_box, corruption.box_jitter_fraction,
-                    frame_rng.child("jitter"), spec.width, spec.height,
-                ))
-                noise = frame_rng.child("target-score").normal(0.0, noise_sd)
-                scores.append(_clamp01(TARGET_BASE_SCORE + noise))
-                ids.append(0)
-            # Distractor d reads draws 1-2 (score noise) and 3-6 (box) of
-            # frame_rng.child("distractor", d); one batch holds them all.
-            block = frame_rng.child("distractor").child_units(distractor_ids, 6)
-            units.append(block[:, 2:])
-            scores.extend(
-                _clamp01(DISTRACTOR_BASE_SCORE + box_muller(u1, u2, 0.0, noise_sd))
-                for u1, u2 in block[:, :2].tolist()
-            )
-            ids.extend(distractor_ids)
-            if (
-                true_box is not None
-                and count > 0
-                and frame_rng.child("switch").unit() < corruption.id_switch_prob
-            ):
-                victim = first + frame_rng.child("victim").randint(1, count)
-                scores[first], scores[victim] = scores[victim], scores[first]
-            if len(scores) > first:
-                frames.append(frame)
-                sizes.append(len(scores) - first)
-        is_target = np.array(ids) == 0
+        track = boxes[obj_index]
+        # keys[f - 1] is the key of rng.child("object", obj_index, "frame", f).
+        keys = rng.child("object", obj_index, "frame").child_keys(frames)
+        visible = np.array([frame in track for frame in frames], dtype=bool)
+        # A frame's rows: its target if visible, then distractors 1..count.
+        sizes = visible + count
+        starts = np.cumsum(sizes) - sizes
+        targets = starts[visible]
+        row_in_frame = np.arange(int(sizes.sum())) - np.repeat(starts, sizes)
+        ids = row_in_frame + 1 - np.repeat(visible, sizes)
         xywh = np.empty((len(ids), 4))
-        xywh[is_target] = np.reshape(targets, (-1, 4))
-        xywh[~is_target] = _distractor_boxes(
-            np.concatenate(units), spec.width, spec.height
+        scores = np.empty(len(ids))
+
+        target_keys = keys[visible]
+        true = np.array(
+            [(b.x, b.y, b.w, b.h) for b in map(track.get, np.flatnonzero(visible) + 1)],
+            dtype=np.float64,
+        ).reshape(-1, 4)
+        xywh[targets] = _jittered_rows(
+            true, corruption.box_jitter_fraction, fold_keys(target_keys, "jitter"),
+            spec.width, spec.height,
         )
+        scores[targets] = _noisy_scores(
+            fold_keys(target_keys, "target-score"), TARGET_BASE_SCORE, corruption.score_noise_sd
+        )
+        if count:
+            # Distractor d reads draws 1-2 (score noise) and 3-6 (box) of its
+            # frame's child("distractor", d).
+            rows = ((starts + visible)[:, None] + np.arange(count)).ravel()
+            distractor_keys = fold_children(
+                fold_keys(keys, "distractor"), range(1, count + 1)
+            ).ravel()
+            scores[rows] = _noisy_scores(
+                distractor_keys, DISTRACTOR_BASE_SCORE, corruption.score_noise_sd
+            )
+            xywh[rows] = _distractor_boxes(
+                key_units(distractor_keys, 4, 2), spec.width, spec.height
+            )
+            switch = key_units(fold_keys(target_keys, "switch"), 1)[:, 0]
+            switched = switch < corruption.id_switch_prob
+            first = targets[switched]
+            victim = first + key_randints(fold_keys(target_keys[switched], "victim"), 1, count)
+            scores[first], scores[victim] = scores[victim], scores[first]
+        kept = sizes > 0
         out[str(obj_index)] = VideoProposals(
-            frames, np.repeat(np.arange(len(frames)), sizes), ids, xywh, np.array(scores),
-            np.full(len(ids), PROPOSAL_OBJECTNESS),
+            (np.flatnonzero(kept) + 1).tolist(),
+            np.repeat(np.arange(int(kept.sum())), sizes[kept]),
+            ids.tolist(), xywh, scores, np.full(len(ids), PROPOSAL_OBJECTNESS),
         )
     return out

@@ -1,24 +1,47 @@
 """Batched random draws and direct JSONL row formatting against their scalar definitions.
 
-The simulator draws each frame's distractors as one numpy-uint64 block and
-the writers format rows without building records.  Both must give exactly
-the bytes of the scalar ``SplitRng`` stream and of ``json.dumps``; the pinned
-digests below were recorded from the per-draw, per-record implementation.
+The simulator draws every frame of an object at once, from ``np.uint64``
+arrays of stream keys, and the writers format rows without building
+records.  Both must give exactly the bytes of the scalar ``SplitRng`` stream
+and of ``json.dumps``; the pinned digests below were recorded from the
+per-draw, per-record implementation, and ``proposals_by_scalar_streams``
+below is that per-frame implementation.
 """
 
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trackref import simulate
 from trackref.cli import main
-from trackref.geometry import Box
-from trackref.rerank import write_tracks
-from trackref.rng import SplitRng, box_muller, mix64, mix64_array
-from trackref.simulate import CorruptionSpec, generate_proposals, generate_scene, parse_scene_spec
+from trackref.geometry import AffineTransform, Box
+from trackref.rerank import VideoProposals, write_tracks
+from trackref.rng import (
+    SplitRng,
+    box_muller,
+    box_muller_array,
+    fold_children,
+    fold_keys,
+    key_draws,
+    key_randints,
+    key_units,
+    mix64,
+    mix64_array,
+)
+from trackref.simulate import (
+    CorruptionSpec,
+    ObjectSpec,
+    SceneSpec,
+    generate_proposals,
+    generate_scene,
+    parse_scene_spec,
+)
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
@@ -92,6 +115,96 @@ def test_box_muller_on_batched_units_matches_normal(seed, part, mean, sd):
     assert box_muller(u1, u2, mean, sd) == rng.child(part).normal(mean, sd)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds=st.lists(any_int, max_size=5),
+    path=st.lists(path_part, max_size=3),
+    parts=st.lists(any_int, max_size=4),
+    count=st.integers(0, 5),
+    start=st.integers(0, 50),
+)
+@example(seeds=[0, -1], path=["", "jitter", 0, -(1 << 70)], parts=[0, -1, MASK64], count=3, start=0)
+def test_key_arrays_match_scalar_streams(seeds, path, parts, count, start):
+    root = SplitRng(7, "root")
+    streams = [root.child(seed) for seed in seeds]
+    keys = root.child_keys(seeds)
+    for part in path:
+        keys = fold_keys(keys, part)
+    children = [rng.child(*path) for rng in streams]
+    for rng in children:
+        for _ in range(start):
+            rng.next_u64()
+    draws = [[rng.next_u64() for _ in range(count)] for rng in children]
+    assert key_draws(keys, count, start).tolist() == draws
+    assert key_units(keys, count, start).tolist() == [
+        [(d >> 11) * 2.0 ** -53 for d in row] for row in draws
+    ]
+    grid = fold_children(keys, parts)
+    assert grid.shape == (len(seeds), len(parts))
+    assert key_draws(grid.ravel(), 1).ravel().tolist() == [
+        rng.child(*path, part).next_u64() for rng in streams for part in parts
+    ]
+
+
+# Spans near 2^63 reject about half of all first draws; 2^64 rejects none.
+spans = st.one_of(
+    st.integers(1, 50),
+    st.integers((1 << 63) - 5, (1 << 63) + 5),
+    st.integers((1 << 64) - 3, 1 << 64),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=any_int, low=st.integers(-(1 << 63), 50), span=spans, lanes=st.integers(0, 64))
+@example(seed=3, low=-(1 << 63), span=1 << 64, lanes=8)
+def test_key_randints_match_scalar_randint(seed, low, span, lanes):
+    high = low + span - 1
+    if high >= 1 << 63:
+        with pytest.raises(ValueError):
+            key_randints(np.zeros(1, dtype=np.uint64), low, high)
+        return
+    rng = SplitRng(seed, "lanes")
+    values = key_randints(rng.child_keys(range(lanes)), low, high)
+    assert values.dtype == np.int64
+    assert values.tolist() == [rng.child(lane).randint(low, high) for lane in range(lanes)]
+
+
+def test_key_randints_redraw_rejected_lanes():
+    rng = SplitRng(3, "lanes")
+    keys = rng.child_keys(range(64))
+    span = (1 << 63) + 1
+    rejected = key_draws(keys, 1)[:, 0] < np.uint64((1 << 64) % span)
+    assert 0 < rejected.sum() < 64
+    low, high = -10, span - 11
+    values = key_randints(keys, low, high)
+    assert values.tolist() == [rng.child(lane).randint(low, high) for lane in range(64)]
+    with pytest.raises(ValueError):
+        key_randints(keys, 2, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    units=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1)), max_size=20),
+    mean=st.floats(-5, 5),
+    sd=st.floats(0, 3),
+)
+@example(units=[(0.0, 0.25), (2.0 ** -53, 0.5), (0.5, 0.0)], mean=0.0, sd=1.0)
+def test_box_muller_array_matches_scalar(units, mean, sd):
+    u1, u2 = np.array(units, dtype=np.float64).reshape(-1, 2).T
+    assert box_muller_array(u1, u2, mean, sd).tolist() == [
+        box_muller(a, b, mean, sd) for a, b in units
+    ]
+
+
+def test_box_muller_array_keeps_libm_on_many_units():
+    # numpy's own log differs from libm's in the last bit for a few inputs
+    # in a thousand on some builds; 20,000 pairs would show it.
+    u1, u2 = SplitRng(11).child_units(range(20_000), 2).T
+    assert box_muller_array(u1, u2, 0.3, 0.7).tolist() == [
+        box_muller(a, b, 0.3, 0.7) for a, b in zip(u1.tolist(), u2.tolist())
+    ]
+
+
 def test_box_muller_keeps_zero_unit_finite():
     assert math.isfinite(box_muller(0.0, 0.25))
     assert box_muller(0.0, 0.25) == box_muller(2.0 ** -53, 0.25)
@@ -135,6 +248,114 @@ def test_generated_distractors_match_scalar_streams(seed, count, sd):
             assert got == distractors_by_scalar_draws(
                 rng, int(query), frame, count, sd, spec.width, spec.height
             )
+
+
+def proposals_by_scalar_streams(spec, boxes, corruption, rng):
+    """``generate_proposals`` frame by frame, every draw from a scalar stream."""
+    count, sd = corruption.distractors_per_frame, corruption.score_noise_sd
+    out = {}
+    for obj_index in sorted(boxes):
+        frames, sizes, ids, xywh, scores = [], [], [], [], []
+        for frame in range(1, spec.num_frames + 1):
+            frame_rng = rng.child("object", obj_index, "frame", frame)
+            first = len(scores)
+            true_box = boxes[obj_index].get(frame)
+            if true_box is not None:
+                xywh.append(simulate._jittered(
+                    true_box, corruption.box_jitter_fraction, frame_rng.child("jitter"),
+                    spec.width, spec.height,
+                ))
+                noise = frame_rng.child("target-score").normal(0.0, sd)
+                scores.append(min(max(0.8 + noise, 0.0), 1.0))
+                ids.append(0)
+            for d, box, score in distractors_by_scalar_draws(
+                rng, obj_index, frame, count, sd, spec.width, spec.height
+            ):
+                xywh.append((box.x, box.y, box.w, box.h))
+                scores.append(score)
+                ids.append(d)
+            if (
+                true_box is not None
+                and count > 0
+                and frame_rng.child("switch").unit() < corruption.id_switch_prob
+            ):
+                victim = first + frame_rng.child("victim").randint(1, count)
+                scores[first], scores[victim] = scores[victim], scores[first]
+            if len(scores) > first:
+                frames.append(frame)
+                sizes.append(len(scores) - first)
+        out[str(obj_index)] = VideoProposals(
+            frames, np.repeat(np.arange(len(frames)), sizes), ids,
+            np.array(xywh, dtype=np.float64).reshape(-1, 4), np.array(scores, dtype=np.float64),
+            np.full(len(ids), 0.9),
+        )
+    return out
+
+
+@st.composite
+def scenes(draw):
+    """Scenes from 1x1 pixels up, with objects that may drift or shrink out of the image."""
+    width, height = draw(st.integers(1, 64)), draw(st.integers(1, 48))
+    objects = []
+    for _ in range(draw(st.integers(1, 2))):
+        w = draw(st.floats(0.5, width))
+        h = draw(st.floats(0.5, height))
+        box = Box(draw(st.floats(0, width - w)), draw(st.floats(0, height - h)), w, h)
+        scale = draw(st.sampled_from([1.0, 0.9, 1.1]))
+        motion = AffineTransform(scale, 0.0, draw(st.floats(-20, 20)),
+                                 0.0, scale, draw(st.floats(-20, 20)))
+        objects.append(ObjectSpec(box, motion))
+    return SceneSpec(width, height, draw(st.integers(1, 12)), tuple(objects))
+
+
+corruptions = st.builds(
+    CorruptionSpec,
+    distractors_per_frame=st.sampled_from([0, 0, 1, 3, 9]),
+    score_noise_sd=st.sampled_from([0.0, 0.05, 0.5, 3.0]),
+    id_switch_prob=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+    box_jitter_fraction=st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+)
+
+# A 3x2 image whose one object fills it: jitter 3 fails every attempt in most
+# frames, so the clamped fallback runs; the object drifts out after frame 2.
+FALLBACK_SCENE = SceneSpec(3, 2, 6, (ObjectSpec(Box(0, 0, 3, 2), AffineTransform(
+    1.0, 0.0, 1.5, 0.0, 1.0, 0.0)),))
+FALLBACK_CORRUPTION = CorruptionSpec(2, 0.5, 1.0, 3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=scenes(), corruption=corruptions, seed=any_int)
+@example(spec=FALLBACK_SCENE, corruption=FALLBACK_CORRUPTION, seed=1)
+@example(spec=FALLBACK_SCENE, corruption=CorruptionSpec(0, 0.0, 0.0, 3.0), seed=2)
+def test_generated_tables_match_scalar_streams(spec, corruption, seed):
+    try:
+        boxes = generate_scene(spec, lambda *_: None)
+    except ValueError:  # a motion that is not invertible at some frame
+        return
+    rng = SplitRng(seed, "sweep")
+    with mock.patch.object(simulate, "_clamped_side", wraps=simulate._clamped_side) as batch:
+        got = generate_proposals(spec, boxes, corruption, rng)
+    with mock.patch.object(simulate, "_clamped_side", wraps=simulate._clamped_side) as scalar:
+        expected = proposals_by_scalar_streams(spec, boxes, corruption, rng)
+    # Both fall back to the clamped box on the same rows.
+    assert batch.call_count == scalar.call_count
+    assert got.keys() == expected.keys()
+    for query, table in expected.items():
+        vp = got[query]
+        assert vp.frame_ids == table.frame_ids
+        assert vp.frame_of.tolist() == table.frame_of.tolist()
+        assert vp.ids == table.ids
+        for column in ("boxes", "scores", "objectness"):
+            assert getattr(vp, column).shape == getattr(table, column).shape
+            assert getattr(vp, column).tobytes() == getattr(table, column).tobytes(), column
+
+
+def test_the_fallback_example_falls_back_and_leaves_the_image():
+    boxes = generate_scene(FALLBACK_SCENE, lambda *_: None)
+    assert set(boxes[1]) < set(range(1, FALLBACK_SCENE.num_frames + 1))
+    with mock.patch.object(simulate, "_clamped_side", wraps=simulate._clamped_side) as clamp:
+        generate_proposals(FALLBACK_SCENE, boxes, FALLBACK_CORRUPTION, SplitRng(1, "sweep"))
+    assert clamp.call_count > 0
 
 
 # ---------------------------------------------------------------------------

@@ -452,11 +452,11 @@ class TestJsonl:
 
 
 @st.composite
-def written_tables(draw):
-    """A table of up to 60 frames x 30 proposals drawn from a seed, with
-    ``window`` and ``top_k`` each on in about half the examples."""
+def written_tables(draw, frames=st.integers(1, 60), width=st.integers(1, 30)):
+    """A table of ``frames`` frames x up to ``width`` proposals drawn from a
+    seed, with ``window`` and ``top_k`` each on in about half the examples."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    frames, width = draw(st.integers(1, 60)), draw(st.integers(1, 30))
+    frames, width = draw(frames), draw(width)
     frame_ids = np.sort(rng.choice(np.arange(1, 3 * frames + 1), frames, replace=False))
     counts = rng.integers(1, width + 1, frames)
     ids = np.concatenate([np.sort(rng.choice(3 * width, count, replace=False))
@@ -472,9 +472,30 @@ def written_tables(draw):
     return vp, window, top_k
 
 
+def ground_truth_for(vp):
+    """A ground-truth track for ``vp``: every other frame's middle row moved by
+    (3, -2), plus a frame the table does not have."""
+    starts = vp.frame_starts().tolist()
+    ends = starts[1:] + [len(vp.ids)]
+    gt = {}
+    for index, (frame, a, b) in enumerate(zip(vp.frame_ids, starts, ends)):
+        if index % 2 == 0:
+            x, y, w, h = vp.boxes[(a + b) // 2].tolist()
+            gt[frame] = Box(x + 3, y - 2, w, h)
+    gt[max(vp.frame_ids) + 1] = Box(0, 0, 10, 10)
+    return gt
+
+
+# The bench's shape: up to 140 frames x 100 proposals.  A full sum there takes
+# about half a second, so these run few examples.
+bench_tables = written_tables(frames=st.integers(100, 140), width=st.integers(60, 100))
+
+
 class TestInvariancesThroughFiles:
-    """Re-rank invariances that hold bit for bit, on tables written with
-    ``write_proposals`` and read back with ``read_proposals``'s bulk path."""
+    """Re-rank and ``oracle_assign`` invariances on tables written with
+    ``write_proposals`` and read back with ``read_proposals``'s bulk path:
+    exact for every transform but time reversal, which sums the offsets in
+    another order and so holds within the brute-force oracle's 1e-12."""
 
     SHIFT = 10**6
 
@@ -488,7 +509,14 @@ class TestInvariancesThroughFiles:
     @settings(max_examples=12, deadline=None)
     @given(written_tables())
     def test_transforms_map_scores_and_selections_exactly(self, drawn):
-        vp, window, top_k = drawn
+        self._check_transforms(*drawn)
+
+    @settings(max_examples=2, deadline=None)
+    @given(bench_tables)
+    def test_transforms_hold_at_bench_shape(self, drawn):
+        self._check_transforms(*drawn)
+
+    def _check_transforms(self, vp, window, top_k):
         transforms = {
             "shift": ([frame + self.SHIFT for frame in vp.frame_ids], vp.ids,
                       vp.boxes, vp.scores, vp.objectness),
@@ -499,18 +527,22 @@ class TestInvariancesThroughFiles:
                     vp.objectness),
         }
         factor = {"scores": 4.0, "objectness": 2.0}
+        gt = ground_truth_for(vp)
         with tempfile.TemporaryDirectory() as tmp:
             base = self._through_file(tmp, "base", vp)
             scored = rerank_scores(base, window=window, top_k=top_k)
-            track, raw = select_track(scored), raw_select(base)
+            track, raw, oracle = select_track(scored), raw_select(base), oracle_assign(base, gt)
             for name, (frame_ids, ids, boxes, scores, objectness) in transforms.items():
                 moved = self._through_file(tmp, name, VideoProposals(
                     frame_ids, vp.frame_of, ids, boxes, scores, objectness))
                 moved_scored = rerank_scores(moved, window=window, top_k=top_k)
                 expected = factor.get(name, 1.0) * scored.new_score
                 assert moved_scored.new_score.tobytes() == expected.tobytes(), name
-                for chosen, moved_chosen in ((track, select_track(moved_scored)),
-                                             (raw, raw_select(moved))):
+                for chosen, moved_chosen in (
+                    (track, select_track(moved_scored)),
+                    (raw, raw_select(moved)),
+                    (oracle, oracle_assign(moved, self._mapped(name, gt))),
+                ):
                     assert repr(moved_chosen) == repr(self._mapped(name, chosen)), name
 
     def _mapped(self, name, track):
@@ -520,3 +552,27 @@ class TestInvariancesThroughFiles:
             return {frame: Box(2 * box.x, 2 * box.y, 2 * box.w, 2 * box.h)
                     for frame, box in track.items()}
         return track
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.one_of(written_tables(), bench_tables))
+    def test_time_reversal_moves_scores_within_tolerance(self, drawn):
+        vp, window, top_k = drawn
+        mirror = min(vp.frame_ids) + max(vp.frame_ids)  # frame f becomes mirror - f
+        # Rows of the last frame first, each frame's rows kept in id order.
+        order = np.lexsort((np.arange(len(vp.ids)), -vp.frame_of))
+        reversed_vp = VideoProposals(
+            [mirror - frame for frame in reversed(vp.frame_ids)],
+            len(vp.frame_ids) - 1 - vp.frame_of[order], [vp.ids[i] for i in order],
+            vp.boxes[order], vp.scores[order], vp.objectness[order],
+        )
+        gt = ground_truth_for(vp)
+        with tempfile.TemporaryDirectory() as tmp:
+            base = self._through_file(tmp, "base", vp)
+            moved = self._through_file(tmp, "reversed", reversed_vp)
+        new_scores = rerank_scores(base, window=window, top_k=top_k).new_score[order]
+        moved_scores = rerank_scores(moved, window=window, top_k=top_k).new_score
+        assert np.abs(moved_scores - new_scores).max() <= 1e-12
+        reversed_gt = {mirror - frame: box for frame, box in gt.items()}
+        assert oracle_assign(moved, reversed_gt) == {
+            mirror - frame: box for frame, box in oracle_assign(base, gt).items()
+        }
