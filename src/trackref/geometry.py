@@ -11,7 +11,9 @@ Conventions used throughout the package:
 * Each mask codec is a text pair, ``pbm_dumps``/``pbm_loads`` and
   ``rle_dumps``/``rle_loads``; ``write_mask`` and ``read_mask`` pick one by
   file extension.  ``write_mask`` hashes the bytes as it writes them and
-  returns their digest, so no caller reads a mask file back.
+  returns their digest, so no caller reads a mask file back.  A PBM document
+  in ``write_mask``'s exact layout is decoded as 16-bit words, any other by
+  the general parser, with the same masks and the same errors.
 * All functions are pure; none mutates its inputs.
 """
 
@@ -129,18 +131,6 @@ class AffineTransform:
         )
 
 
-def as_mask(values) -> Mask:
-    """Coerce nested lists / arrays to a validated 2-D boolean mask."""
-    mask = np.asarray(values, dtype=bool)
-    if mask.ndim != 2 or mask.shape[0] < 1 or mask.shape[1] < 1:
-        raise ValueError(f"mask must be a non-empty 2-D grid, got shape {mask.shape}")
-    return mask
-
-
-def empty_mask(height: int, width: int) -> Mask:
-    return np.zeros((height, width), dtype=bool)
-
-
 def box_iou(a: Box, b: Box) -> float:
     """Intersection-over-union of two boxes, computed analytically."""
     ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
@@ -163,8 +153,8 @@ def mask_iou(a: Mask, b: Mask) -> float:
     if window is None:
         return 1.0
     a, b = a[window], b[window]  # no set pixel lies outside the union's bbox
-    union = int(np.logical_or(a, b).sum())
-    inter = int(np.logical_and(a, b).sum())
+    union = np.count_nonzero(np.logical_or(a, b))
+    inter = np.count_nonzero(np.logical_and(a, b))
     return inter / union
 
 
@@ -419,8 +409,8 @@ _PBM_TOKEN = rb"([^%s#]+)" % _SPACE
 _PBM_HEADER = re.compile(_PBM_GAP + b"*P1" + (_PBM_GAP + b"+" + _PBM_TOKEN) * 2)
 
 
-def _pbm_parse(data: bytes) -> Mask:
-    """Parse an ASCII PBM document given as bytes."""
+def _pbm_general(data: bytes) -> Mask:
+    """Parse any ASCII PBM document given as bytes."""
     header = _PBM_HEADER.match(data)
     if header is None:
         raise ValueError("not an ASCII PBM document (missing P1 header)")
@@ -443,6 +433,33 @@ def _pbm_parse(data: bytes) -> Mask:
     if (flat > 1).any():
         raise ValueError("PBM payload contains characters other than 0/1")
     return flat.view(bool).reshape(height, width)
+
+
+_PBM_WORDS_HEADER = re.compile(rb"P1\n([1-9][0-9]{0,9}) ([1-9][0-9]{0,9})\n")
+
+
+def _pbm_words(data: bytes) -> Mask | None:
+    """The mask of a document in ``_pbm_parts``' exact layout, read in place as
+    16-bit words, else None; ``_pbm_general`` gives the same mask for it."""
+    header = _PBM_WORDS_HEADER.match(data)
+    if header is None:
+        return None
+    width, height = int(header[1]), int(header[2])
+    if len(data) - header.end() != 2 * width * height or width * height > MAX_MASK_PIXELS:
+        return None
+    words = np.frombuffer(data, "<u2", offset=header.end()).reshape(height, width)
+    inner, last = words[:, :-1], words[:, -1]  # b"0 " or b"1 "; b"0\n" or b"1\n"
+    if last.min() < 0x0A30 or last.max() > 0x0A31 or width > 1 and (
+            inner.min() < 0x2030 or inner.max() > 0x2031):
+        return None
+    mask = words.astype(np.uint8)  # the low byte: b"0" or b"1"
+    mask -= 0x30
+    return mask.view(bool)
+
+
+def _pbm_parse(data: bytes) -> Mask:
+    """Parse an ASCII PBM document given as bytes."""
+    return _pbm_general(data) if (mask := _pbm_words(data)) is None else mask
 
 
 def pbm_loads(text: str) -> Mask:

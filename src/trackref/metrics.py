@@ -179,14 +179,14 @@ def boundary_f(pred: Mask, gt: Mask, tolerance: int | None = None) -> float:
     pred, gt = pred[window], gt[window]
     pred_boundary = boundary_pixels(pred)
     gt_boundary = boundary_pixels(gt)
-    pred_count = int(pred_boundary.sum())
-    gt_count = int(gt_boundary.sum())
+    pred_count = np.count_nonzero(pred_boundary)
+    gt_count = np.count_nonzero(gt_boundary)
     if pred_count == 0 or gt_count == 0:
         return 0.0
     gt_reach = _square_dilation(gt_boundary, tolerance)
     pred_reach = _square_dilation(pred_boundary, tolerance)
-    precision = int((pred_boundary & gt_reach).sum()) / pred_count
-    recall = int((gt_boundary & pred_reach).sum()) / gt_count
+    precision = np.count_nonzero(pred_boundary & gt_reach) / pred_count
+    recall = np.count_nonzero(gt_boundary & pred_reach) / gt_count
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)

@@ -65,16 +65,10 @@ def scale_unit(unit: float, low: float, high: float) -> float:
     return low + (high - low) * unit
 
 
-def box_muller(u1: float, u2: float, mean: float = 0.0, sd: float = 1.0) -> float:
-    """Gaussian draw from two units in [0, 1) (the Box-Muller transform)."""
-    if u1 <= 0.0:
-        u1 = 2.0 ** -53
-    radius = math.sqrt(-2.0 * math.log(u1))
-    return mean + sd * radius * math.cos(2.0 * math.pi * u2)
-
-
 def box_muller_array(u1: np.ndarray, u2: np.ndarray, mean: float = 0.0, sd: float = 1.0):
-    """:func:`box_muller` of each pair of units, as a float array."""
+    """The Box-Muller Gaussian ``mean + sd * sqrt(-2.0 * log(u1)) * cos(2.0 * pi * u2)``
+    of each pair of units, a ``u1 <= 0`` read as 2**-53; bit-identical to that
+    expression on Python floats, since ``log`` and ``cos`` are ``math``'s."""
     u1 = np.where(u1 <= 0.0, 2.0 ** -53, u1)
     log = np.fromiter(map(math.log, u1.tolist()), np.float64, len(u1))
     cos = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), np.float64, len(u2))
@@ -179,14 +173,6 @@ class SplitRng:
         """The keys of ``self.child(p)`` for each integer ``p`` of ``parts``, as ``np.uint64``."""
         return fold_children(np.array([self._key], dtype=np.uint64), parts)[0]
 
-    def child_units(self, parts, count: int) -> np.ndarray:
-        """Units of many integer children at once, as a ``(len(parts), count)`` array.
-
-        Entry ``[i, c]`` equals draw ``c + 1`` of ``self.child(parts[i]).unit()``;
-        no counter moves.
-        """
-        return key_units(self.child_keys(parts), count)
-
     def next_u64(self) -> int:
         self._count += 1
         return mix64((self._key + self._count * _GOLDEN) & _MASK64)
@@ -197,12 +183,6 @@ class SplitRng:
 
     def uniform(self, low: float, high: float) -> float:
         return scale_unit(self.unit(), low, high)
-
-    def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
-        """Gaussian draw via the Box-Muller transform (two u64 draws)."""
-        u1 = (self.next_u64() >> 11) * (2.0 ** -53)
-        u2 = (self.next_u64() >> 11) * (2.0 ** -53)
-        return box_muller(u1, u2, mean, sd)
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high], unbiased via rejection."""

@@ -14,6 +14,7 @@ from statistics import fmean
 import numpy as np
 import pytest
 
+from helpers import empty_mask
 from test_rerank import brute_force_scores, random_instance
 
 from trackref.cli import main
@@ -21,7 +22,6 @@ from trackref.geometry import (
     AffineTransform,
     Box,
     box_iou,
-    empty_mask,
     mask_iou,
     pbm_dumps,
     pbm_loads,

@@ -18,13 +18,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import box_muller, child_units, normal
+
 from trackref import simulate
 from trackref.cli import main
 from trackref.geometry import AffineTransform, Box
 from trackref.rerank import VideoProposals, write_tracks
 from trackref.rng import (
     SplitRng,
-    box_muller,
     box_muller_array,
     fold_children,
     fold_keys,
@@ -91,7 +92,7 @@ def test_string_parts_fold_as_the_literal_formula(seed, texts):
 @example(seed=0, path=[], parts=[-1, MASK64, 1 << 64, -(1 << 64) - 5, 0], count=6)
 def test_child_units_match_scalar_children(seed, path, parts, count):
     rng = SplitRng(seed, *path)
-    units = rng.child_units(parts, count)
+    units = child_units(rng, parts, count)
     assert units.shape == (len(parts), count)
     expected = []
     for part in parts:
@@ -111,8 +112,8 @@ def test_child_units_match_scalar_children(seed, path, parts, count):
 )
 def test_box_muller_on_batched_units_matches_normal(seed, part, mean, sd):
     rng = SplitRng(seed, "noise")
-    u1, u2 = rng.child_units([part], 2).tolist()[0]
-    assert box_muller(u1, u2, mean, sd) == rng.child(part).normal(mean, sd)
+    u1, u2 = child_units(rng, [part], 2).tolist()[0]
+    assert box_muller(u1, u2, mean, sd) == normal(rng.child(part), mean, sd)
 
 
 @settings(max_examples=200, deadline=None)
@@ -199,7 +200,7 @@ def test_box_muller_array_matches_scalar(units, mean, sd):
 def test_box_muller_array_keeps_libm_on_many_units():
     # numpy's own log differs from libm's in the last bit for a few inputs
     # in a thousand on some builds; 20,000 pairs would show it.
-    u1, u2 = SplitRng(11).child_units(range(20_000), 2).T
+    u1, u2 = child_units(SplitRng(11), range(20_000), 2).T
     assert box_muller_array(u1, u2, 0.3, 0.7).tolist() == [
         box_muller(a, b, 0.3, 0.7) for a, b in zip(u1.tolist(), u2.tolist())
     ]
@@ -226,7 +227,7 @@ def distractors_by_scalar_draws(rng, obj_index, frame, count, sd, width, height)
     boxes = []
     for d in range(1, count + 1):
         drng = rng.child("object", obj_index).child("frame", frame).child("distractor", d)
-        score = min(max(0.3 + drng.normal(0.0, sd), 0.0), 1.0)
+        score = min(max(0.3 + normal(drng, 0.0, sd), 0.0), 1.0)
         w = max(drng.uniform(0.1, 0.5) * width, 1.0)
         h = max(drng.uniform(0.1, 0.5) * height, 1.0)
         x = drng.uniform(0.0, max(width - w, 0.0))
@@ -265,7 +266,7 @@ def proposals_by_scalar_streams(spec, boxes, corruption, rng):
                     true_box, corruption.box_jitter_fraction, frame_rng.child("jitter"),
                     spec.width, spec.height,
                 ))
-                noise = frame_rng.child("target-score").normal(0.0, sd)
+                noise = normal(frame_rng.child("target-score"), 0.0, sd)
                 scores.append(min(max(0.8 + noise, 0.0), 1.0))
                 ids.append(0)
             for d, box, score in distractors_by_scalar_draws(

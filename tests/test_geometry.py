@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import as_mask, empty_mask
+
 from trackref.geometry import (
     MAX_MASK_PIXELS,
     AffineTransform,
     Box,
-    as_mask,
     boundary_pixels,
     box_from_mask,
     box_iou,
     check_mask_size,
-    empty_mask,
     mask_iou,
     pbm_dumps,
     pbm_loads,

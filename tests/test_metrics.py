@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import empty_mask
+
 from trackref.geometry import (
-    Box, box_iou, empty_mask, mask_iou, pbm_dumps, pbm_loads, rasterize_box,
+    Box, box_iou, mask_iou, pbm_dumps, pbm_loads, rasterize_box,
 )
 from trackref.metrics import (
     QueryAttributes,

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import empty_mask, normal
+
 from trackref.geometry import (
     AffineTransform,
     Box,
     box_from_mask,
-    empty_mask,
     rasterize_box,
 )
 from trackref.metrics import track_miou
@@ -454,4 +455,4 @@ class TestSplitRng:
             rng.randint(3, 1)
 
     def test_normal_zero_sd_is_exact(self):
-        assert SplitRng(5).normal(0.25, 0.0) == 0.25
+        assert normal(SplitRng(5), 0.25, 0.0) == 0.25
